@@ -99,12 +99,13 @@ def residual_projection_acf(
 
     ``directions`` are 1-based eigenvalue indices of the fitted spectrum;
     each must exceed the estimated factor count (indices at or below it
-    are factors, not residual directions).  If the fit removed all serial
+    are factors, not residual directions) and be at most the number of
+    eigenvectors the fit holds, min(p, n).  If the fit removed all serial
     correlation, these projected series behave like white noise.
     """
     if model.eigenvectors is None:
         raise DomainError("model carries no eigenvectors; refit before projecting")
-    p = model.eigenvectors.shape[0]
+    p, computed = model.eigenvectors.shape
     if panel.p != p:
         raise DimensionError(f"panel has {panel.p} series but model was fit on {p}")
     directions = [int(d) for d in directions]
@@ -113,8 +114,10 @@ def residual_projection_acf(
             raise DomainError(
                 f"direction {d} is a factor direction (r_hat = {model.r_hat}), not a residual one"
             )
-        if d > p:
-            raise DomainError(f"direction {d} exceeds the panel dimension {p}")
+        if d > computed:
+            raise DomainError(
+                f"direction {d} exceeds the {computed} eigen-directions the fit holds (min(p, n))"
+            )
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
     basis = model.eigenvectors[:, [d - 1 for d in directions]]
     series = basis.T @ centered

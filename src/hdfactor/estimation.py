@@ -97,6 +97,13 @@ class FactorModel:
     second pass whose smallest eigenvalue ratio stays above 0.5, i.e. one
     offering no clear evidence of further factors; it is a report, not a
     decision rule.
+
+    ``eigenvalues`` always has length p.  ``eigenvectors`` holds the
+    eigenvectors of the pooled matrix and has shape p x min(p, n): for
+    p > n the eigenproblem is solved in the panel's n-dimensional column
+    span, the eigenvalues past n are exact zeros, and the directions
+    beyond the first n (null directions of the pooled matrix) are not
+    formed.
     """
 
     r_hat: int
@@ -154,6 +161,11 @@ def sample_autocov(panel: Panel, k: int, *, window_centering: bool = False) -> n
 
 
 def _m_from_values(values: np.ndarray, k0: int, window_centering: bool = False) -> np.ndarray:
+    """Pooled matrix over lags 1..k0, bit for bit the ``m_hat`` of ``build_m``.
+
+    The lags are summed in the same order as in ``build_m``; the lag-0
+    product, which the pooled matrix does not use, is skipped.
+    """
     p, n = values.shape
     m = np.zeros((p, p))
     for k in range(1, k0 + 1):
@@ -209,6 +221,48 @@ def sym_eigen(m: np.ndarray) -> EigenSystem:
     values = values[::-1].copy()
     vectors = _normalize_signs(vectors[:, ::-1])
     return EigenSystem(eigenvalues=values, eigenvectors=vectors)
+
+
+def _pooled_eigen(values: np.ndarray, k0: int, window_centering: bool = False,
+                  vectors: bool = True):
+    """Descending spectrum of the pooled matrix of a p x n panel.
+
+    Returns an ``EigenSystem`` with sign-normalized eigenvectors, or only
+    the eigenvalues when ``vectors`` is false.
+
+    For p <= n the dense p x p matrix is formed and decomposed.  For p > n
+    the panel is factored as ``Q R`` (reduced QR, Q of shape p x n).
+    Centering, in either mode, commutes with multiplying by Q', so every
+    lag autocovariance is ``Q S_k(R) Q'`` and the pooled matrix is
+    ``Q M(R) Q'``.  Its eigenpairs therefore come from the n x n
+    matrix ``M(R)``: the eigenvectors are Q times those of ``M(R)``
+    (n columns), and the eigenvalues past n are exact zeros.  QR needs no
+    rank threshold, unlike an SVD.
+    """
+    values = np.asarray(values, dtype=float)
+    p, n = values.shape
+    basis = None
+    if p > n:
+        basis, values = np.linalg.qr(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _m_from_values(values, k0, window_centering)
+    if not np.isfinite(m).all():
+        raise DomainError(
+            "pooled matrix is not finite: it grows with the fourth power of the "
+            "data scale and overflowed; rescale the panel"
+        )
+    if vectors:
+        system = sym_eigen(m)
+        lam = system.eigenvalues
+    else:
+        lam = np.linalg.eigvalsh(m)[::-1]
+    if basis is None:
+        return system if vectors else lam
+    # Clipping roundoff negatives keeps the padded spectrum descending.
+    lam = np.concatenate([np.clip(lam, 0.0, None), np.zeros(p - n)])
+    if not vectors:
+        return lam
+    return EigenSystem(eigenvalues=lam, eigenvectors=_normalize_signs(basis @ system.eigenvectors))
 
 
 def _top_eigenvectors(m: np.ndarray, count: int) -> np.ndarray:
@@ -272,10 +326,9 @@ def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False
     """Descending spectrum of the pooled matrix, skipping eigenvector work.
 
     Fast path for Monte Carlo studies; agrees with the full decomposition
-    in exact arithmetic.
+    in exact arithmetic.  For p > n the entries past n are exact zeros.
     """
-    m = _m_from_values(np.asarray(values, dtype=float), int(k0), window_centering)
-    return np.linalg.eigvalsh(m)[::-1]
+    return _pooled_eigen(values, int(k0), window_centering, vectors=False)
 
 
 def _fit_from_spectrum(centered, eigen, r_hat, ratios, k0, span, **extra) -> FactorModel:
@@ -314,9 +367,10 @@ def estimate(
     search needs at least two eigenvalues, so the single direction is
     reported as the one factor with an empty ratio trace.
     """
+    _validate_lag(panel.n, k0, largest=True)
+    k0 = int(k0)
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
     if panel.p == 1:
-        _validate_lag(panel.n, k0, largest=True)
         variance = float(centered[0] @ centered[0] / panel.n)
         if variance < 1e-300:
             raise DomainError("degenerate spectrum: the single series has zero variance")
@@ -325,17 +379,16 @@ def estimate(
             loadings=np.ones((1, 1)),
             factors=centered.copy(),
             residuals=np.zeros_like(centered),
-            eigenvalues=m_eigenvalues(panel.values, int(k0)),
+            eigenvalues=m_eigenvalues(panel.values, k0),
             ratios=np.empty(0),
-            k0=int(k0),
+            k0=k0,
             ratio_span=0,
             eigenvectors=np.ones((1, 1)),
         )
-    autocov = build_m(panel, k0, window_centering=window_centering)
-    eigen = sym_eigen(autocov.m_hat)
+    eigen = _pooled_eigen(panel.values, k0, window_centering)
     span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
     r_hat, ratios = ratio_estimate(eigen.eigenvalues, span)
-    return _fit_from_spectrum(centered, eigen, r_hat, ratios, autocov.k0, span)
+    return _fit_from_spectrum(centered, eigen, r_hat, ratios, k0, span)
 
 
 def two_step_estimate(
@@ -360,14 +413,17 @@ def two_step_estimate(
         raise DomainError("two-step estimation is degenerate for a univariate panel")
     first = estimate(panel, k0, ratio_span, window_centering=window_centering)
     r1 = first.r_hat if r1_override is None else int(r1_override)
-    if not 1 <= r1 <= panel.p - 1:
-        raise DomainError(f"first-pass factor count must be in [1, p-1], got {r1}")
+    # Past min(p, n) columns there are no computed directions to deflate.
+    limit = min(panel.p - 1, first.eigenvectors.shape[1])
+    if not 1 <= r1 <= limit:
+        raise DomainError(
+            f"first-pass factor count must be in [1, min(p-1, n)] = [1, {limit}], got {r1}"
+        )
     loadings1 = first.eigenvectors[:, :r1]
 
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
     deflated = centered - loadings1 @ (loadings1.T @ centered)
-    m2 = _m_from_values(deflated, int(k0), window_centering)
-    eigen2 = sym_eigen(m2)
+    eigen2 = _pooled_eigen(deflated, int(k0), window_centering)
     span = first.ratio_span
     r2, ratios2 = ratio_estimate(eigen2.eigenvalues, span)
     loadings2 = eigen2.eigenvectors[:, :r2]

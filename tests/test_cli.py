@@ -139,6 +139,26 @@ def test_diagnose_rejects_factor_direction_with_exit_1(tmp_path):
     assert proc.returncode == 1
 
 
+def test_diagnose_rejects_direction_beyond_computed_ones_with_exit_1(tmp_path):
+    # A wide fit (p > n) holds min(p, n) = 50 eigen-directions.
+    path, _ = write_panel_csv(tmp_path, n=50, p=120, seed=12)
+    for direction in (51, 100):
+        proc = run_cli("diagnose", path, "--k0", 1, "--directions", direction, "--out", tmp_path)
+        assert proc.returncode == 1
+        assert "eigen-directions" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_estimate_overflowing_panel_exits_1(tmp_path):
+    panel, _ = generate(table1_scenario(60, 8, seed=13))
+    path = tmp_path / "huge.csv"
+    save_csv(Panel(panel.values * 1e80), path, "rows-are-time")
+    proc = run_cli("estimate", path, "--k0", 1, "--out", tmp_path / "out")
+    assert proc.returncode == 1
+    assert "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_table1_smoke(tmp_path):
     scenario = tmp_path / "grid.json"
     scenario.write_text(json.dumps({

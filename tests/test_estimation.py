@@ -279,6 +279,77 @@ def test_fast_spectrum_matches_full_decomposition():
     assert_allclose(fast, full, atol=1e-10 * max(full[0], 1.0))
 
 
+# ---------------------------------------------------------------- pooled kernel
+
+def kernel_cases(shapes):
+    return [(n, p, k0, wc) for n, p in shapes for k0 in (1, 5) for wc in (False, True)]
+
+
+def dense_reference(panel, k0, wc):
+    """Spectrum, eigenvectors and ratio search of the explicit p x p matrix."""
+    system = sym_eigen(build_m(panel, k0, window_centering=wc).m_hat)
+    r_hat, ratios = ratio_estimate(system.eigenvalues, default_ratio_span(panel.p))
+    return system, r_hat, ratios
+
+
+@pytest.mark.parametrize("n, p, k0, wc", kernel_cases([(30, 80), (50, 120)]))
+def test_estimate_wide_panel_matches_dense_reference(n, p, k0, wc):
+    panel, _ = generate(table1_scenario(n, p, seed=n + p + k0))
+    model = estimate(panel, k0, window_centering=wc)
+    system, r_hat, ratios = dense_reference(panel, k0, wc)
+    lam1 = system.eigenvalues[0]
+    assert np.abs(model.eigenvalues - system.eigenvalues).max() <= 1e-12 * lam1
+    assert np.all(model.eigenvalues[n:] == 0.0)
+    assert model.eigenvectors.shape == (p, n)
+    assert model.r_hat == r_hat
+    assert np.array_equal(np.isnan(model.ratios), np.isnan(ratios))
+    # Sine of the largest principal angle between the two loading spans.
+    dense_span = system.eigenvectors[:, :r_hat]
+    gap = dense_span - model.loadings @ (model.loadings.T @ dense_span)
+    assert np.linalg.norm(gap, 2) < 1e-8
+    fast = m_eigenvalues(panel.values, k0, window_centering=wc)
+    assert np.abs(fast - system.eigenvalues).max() <= 1e-12 * lam1
+
+
+@pytest.mark.parametrize("n, p, k0, wc", kernel_cases([(80, 30), (40, 40)]))
+def test_estimate_narrow_panel_is_bit_identical_to_dense_reference(n, p, k0, wc):
+    panel, _ = generate(table1_scenario(n, p, seed=n + p + k0))
+    model = estimate(panel, k0, window_centering=wc)
+    system, r_hat, _ = dense_reference(panel, k0, wc)
+    assert np.array_equal(model.eigenvalues, system.eigenvalues)
+    assert np.array_equal(model.eigenvectors, system.eigenvectors)
+    assert np.array_equal(model.loadings, system.eigenvectors[:, :r_hat])
+    pooled = build_m(panel, k0, window_centering=wc).m_hat
+    fast = m_eigenvalues(panel.values, k0, window_centering=wc)
+    assert np.array_equal(fast, np.linalg.eigvalsh(pooled)[::-1])
+
+
+def test_two_step_wide_panel_second_pass_matches_dense_reference():
+    panel, _ = generate(table1_scenario(50, 120, seed=58))
+    model = two_step_estimate(panel, k0=2, r1_override=2)
+    loadings1 = model.loadings[:, :2]
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    deflated = Panel(centered - loadings1 @ (loadings1.T @ centered))
+    system, r2, ratios2 = dense_reference(deflated, 2, False)
+    lam1 = system.eigenvalues[0]
+    assert np.abs(model.eigenvalues_step2 - system.eigenvalues).max() <= 1e-12 * lam1
+    assert model.r2_hat == r2
+    assert np.array_equal(np.isnan(model.ratios_step2), np.isnan(ratios2))
+    assert model.loadings.shape == (120, 2 + r2)
+
+
+@pytest.mark.parametrize("n, p", [(60, 8), (30, 80)])
+def test_overflowing_panel_raises_domain_error(n, p):
+    panel, _ = generate(table1_scenario(n, p, seed=57))
+    huge = Panel(panel.values * 1e80)
+    with pytest.raises(DomainError, match="not finite"):
+        estimate(huge, k0=1)
+    with pytest.raises(DomainError, match="not finite"):
+        two_step_estimate(huge, k0=1)
+    with pytest.raises(DomainError, match="not finite"):
+        m_eigenvalues(huge.values, 1)
+
+
 # ---------------------------------------------------------------- two-step fit
 
 def test_two_step_override_gives_orthonormal_loadings():
@@ -325,6 +396,11 @@ def test_two_step_rejects_bad_override():
         two_step_estimate(panel, k0=1, r1_override=0)
     with pytest.raises(DomainError):
         two_step_estimate(panel, k0=1, r1_override=10)
+    # A wide fit holds only min(p, n) = 50 eigenvectors to deflate.
+    wide, _ = generate(table1_scenario(50, 120, seed=63))
+    for r1 in (51, 60):
+        with pytest.raises(DomainError, match="min\\(p-1, n\\)"):
+            two_step_estimate(wide, k0=1, r1_override=r1)
 
 
 def test_two_step_univariate_is_degenerate():
