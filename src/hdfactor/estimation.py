@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError
 from .panel import Panel
@@ -94,9 +93,10 @@ class FactorModel:
     For two-step fits, ``eigenvalues``/``ratios`` describe the first pass,
     the ``*_step2`` fields describe the second pass on the deflated panel,
     and ``r_hat == r1_hat + r2_hat``.  ``step2_no_sharp_minimum`` flags a
-    second pass whose smallest eigenvalue ratio stays above 0.5, i.e. one
-    offering no clear evidence of further factors; it is a report, not a
-    decision rule.
+    second pass whose smallest eigenvalue ratio stays above 0.5, or one
+    that found no eigenvalue above the ratio floor, i.e. one offering no
+    clear evidence of further factors; it is a report, not a decision
+    rule.
 
     ``eigenvalues`` always has length p.  ``eigenvectors`` holds the
     eigenvectors of the pooled matrix and has shape p x min(p, n): for
@@ -160,17 +160,16 @@ def sample_autocov(panel: Panel, k: int, *, window_centering: bool = False) -> n
     return _lag_cov(panel.values, int(k), window_centering)
 
 
-def _m_from_values(values: np.ndarray, k0: int, window_centering: bool = False) -> np.ndarray:
-    """Pooled matrix over lags 1..k0, bit for bit the ``m_hat`` of ``build_m``.
+def _pool(lag_covs) -> np.ndarray:
+    """Symmetrized sum of ``s @ s.T`` over the lag autocovariances, in order.
 
-    The lags are summed in the same order as in ``build_m``; the lag-0
-    product, which the pooled matrix does not use, is skipped.
+    Every pooled matrix in the package is summed here, so the same lags
+    give the same bits.  The sum starts from 0.0, which adds like a zero
+    matrix.
     """
-    p, n = values.shape
-    m = np.zeros((p, p))
-    for k in range(1, k0 + 1):
-        sigma_k = _lag_cov(values, k, window_centering)
-        m += sigma_k @ sigma_k.T
+    m = 0.0
+    for s in lag_covs:
+        m += s @ s.T
     return (m + m.T) / 2
 
 
@@ -187,11 +186,7 @@ def build_m(panel: Panel, k0: int, *, window_centering: bool = False) -> Autocov
     sigma = tuple(
         _lag_cov(panel.values, k, window_centering) for k in range(k0 + 1)
     )
-    m = np.zeros((panel.p, panel.p))
-    for k in range(1, k0 + 1):
-        m += sigma[k] @ sigma[k].T
-    m = (m + m.T) / 2
-    return AutocovSet(k0=k0, sigma=sigma, m_hat=m)
+    return AutocovSet(k0=k0, sigma=sigma, m_hat=_pool(sigma[1:]))
 
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -245,7 +240,7 @@ def _pooled_eigen(values: np.ndarray, k0: int, window_centering: bool = False,
     if p > n:
         basis, values = np.linalg.qr(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _m_from_values(values, k0, window_centering)
+        m = _pool(_lag_cov(values, k, window_centering) for k in range(1, k0 + 1))
     if not np.isfinite(m).all():
         raise DomainError(
             "pooled matrix is not finite: it grows with the fourth power of the "
@@ -263,13 +258,6 @@ def _pooled_eigen(values: np.ndarray, k0: int, window_centering: bool = False,
     if not vectors:
         return lam
     return EigenSystem(eigenvalues=lam, eigenvectors=_normalize_signs(basis @ system.eigenvectors))
-
-
-def _top_eigenvectors(m: np.ndarray, count: int) -> np.ndarray:
-    """Sign-normalized eigenvectors of the ``count`` largest eigenvalues."""
-    p = m.shape[0]
-    _, vectors = scipy.linalg.eigh(m, subset_by_index=[p - count, p - 1])
-    return _normalize_signs(vectors[:, ::-1])
 
 
 def default_ratio_span(p: int) -> int:
@@ -408,6 +396,11 @@ def two_step_estimate(
     there.  The combined loading matrix stays orthonormal because the
     deflated panel lives in the orthogonal complement of the first-pass
     directions.
+
+    When the first pass takes the panel's whole column span (``r1`` equal
+    to its rank), the deflated panel is roundoff: its top eigenvalue is at
+    most 1e-12 of the first pass's.  The second pass then reports
+    ``r2 = 0``, an all-NaN ratio trace and no sharp minimum.
     """
     if panel.p == 1:
         raise DomainError("two-step estimation is degenerate for a univariate panel")
@@ -425,7 +418,10 @@ def two_step_estimate(
     deflated = centered - loadings1 @ (loadings1.T @ centered)
     eigen2 = _pooled_eigen(deflated, int(k0), window_centering)
     span = first.ratio_span
-    r2, ratios2 = ratio_estimate(eigen2.eigenvalues, span)
+    if eigen2.eigenvalues[0] <= RATIO_FLOOR * first.eigenvalues[0]:
+        r2, ratios2 = 0, np.full(span, np.nan)
+    else:
+        r2, ratios2 = ratio_estimate(eigen2.eigenvalues, span)
     loadings2 = eigen2.eigenvectors[:, :r2]
 
     loadings = np.hstack([loadings1, loadings2])
@@ -445,7 +441,7 @@ def two_step_estimate(
         r2_hat=r2,
         eigenvalues_step2=eigen2.eigenvalues,
         ratios_step2=ratios2,
-        step2_no_sharp_minimum=bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO),
+        step2_no_sharp_minimum=r2 == 0 or bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO),
         eigenvectors=first.eigenvectors,
     )
 
@@ -476,10 +472,5 @@ def population_m(loadings: np.ndarray, ar_coeffs: Sequence[float], k0: int):
     if int(k0) != k0 or k0 < 1:
         raise DomainError(f"k0 must be a positive integer, got {k0}")
     var0 = 1.0 / (1.0 - theta**2)
-    p = loadings.shape[0]
-    m = np.zeros((p, p))
-    for k in range(1, int(k0) + 1):
-        sigma_k = (loadings * (theta**k * var0)) @ loadings.T
-        m += sigma_k @ sigma_k.T
-    m = (m + m.T) / 2
+    m = _pool((loadings * (theta**k * var0)) @ loadings.T for k in range(1, int(k0) + 1))
     return m, np.linalg.eigvalsh(m)[::-1]

@@ -16,16 +16,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionError, DomainError
 from .estimation import (
-    _m_from_values,
-    _top_eigenvectors,
     default_ratio_span,
     m_eigenvalues,
     population_m,
     ratio_estimate,
+    two_step_estimate,
 )
 from .panel import Panel
 
@@ -156,11 +154,12 @@ class RatioTraceStudy:
 class TwoStepStudy:
     """One-step vs two-step factor counting on the same replications.
 
-    ``freq_two`` counts replications where the first- and second-pass
-    counts sum to the true number of factors.  ``freq_two_sharp`` only
-    accepts the second-pass factors when that pass shows a sharp minimum
-    (smallest ratio at most 0.5), mirroring how a practitioner reads the
-    second-pass ratio plot before adding factors.
+    Each replication is one ``two_step_estimate`` fit.  ``freq_two`` counts
+    replications where the first- and second-pass counts sum to the true
+    number of factors.  ``freq_two_sharp`` only accepts the second-pass
+    factors when that pass shows a sharp minimum (the fit's
+    ``step2_no_sharp_minimum`` is false), mirroring how a practitioner
+    reads the second-pass ratio plot before adding factors.
     """
 
     scenario: Scenario
@@ -238,7 +237,13 @@ def generate(scenario: Scenario):
     innovations = rng.standard_normal((r, n + FACTOR_BURN_IN))
     factors = np.empty_like(innovations)
     for j in range(r):
-        factors[j] = lfilter([1.0], [1.0, -scenario.ar_coeffs[j]], innovations[j])
+        # Python floats: one rounding per product and per sum, the same bits as
+        # an IIR filter, and far cheaper than indexing numpy elements.
+        theta, level, path = scenario.ar_coeffs[j], 0.0, []
+        for shock in innovations[j].tolist():
+            level = shock + theta * level
+            path.append(level)
+        factors[j] = path
     factors = factors[:, FACTOR_BURN_IN:]
     noise = rng.standard_normal((p, n)) * math.sqrt(scenario.noise_var)
     panel = Panel(loadings @ factors + noise)
@@ -447,24 +452,15 @@ def two_step_study(
 
     Designed for scenarios mixing strong and weak factors, where the
     one-step ratio search tends to stop at the strong ones; it runs on any
-    scenario.  Per replication the one-step count doubles as the first-pass
-    count, the leading directions are projected out, and the ratio search
-    reruns on the deflated panel.
+    scenario.  Each replication is one ``two_step_estimate`` fit: its
+    first-pass count is the one-step count, and its second pass counts the
+    factors left in the deflated panel.
     """
     def one_rep(rep: int):
         scn = _replicated(scenario, scenario.n, scenario.p, rep)
         panel, _ = generate(scn)
-        values = panel.values - panel.values.mean(axis=1, keepdims=True)
-        m = _m_from_values(values, scn.k0)
-        lam = np.linalg.eigvalsh(m)[::-1]
-        span = default_ratio_span(scn.p)
-        r1, _ = ratio_estimate(lam, span)
-        basis = _top_eigenvectors(m, r1)
-        deflated = values - basis @ (basis.T @ values)
-        lam2 = m_eigenvalues(deflated, scn.k0)
-        r2, ratios2 = ratio_estimate(lam2, span)
-        sharp = bool(np.nanmin(ratios2) <= 0.5)
-        return r1, r2, sharp
+        fit = two_step_estimate(panel, scn.k0)
+        return fit.r1_hat, fit.r2_hat, not fit.step2_no_sharp_minimum
 
     results = _map_reps(one_rep, reps, workers)
     one_counts: dict = {}

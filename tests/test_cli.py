@@ -110,6 +110,30 @@ def test_two_step_writes_both_passes(tmp_path):
     assert doc["r_hat"] == doc["r1_hat"] + doc["r2_hat"]
 
 
+def test_two_step_full_rank_override_reports_empty_second_pass(tmp_path):
+    # r1 = 49 is the rank of the centred 50 x 120 panel: nothing is left.
+    path, _ = write_panel_csv(tmp_path, n=50, p=120, seed=66)
+    out = tmp_path / "out"
+    proc = run_cli("two-step", path, "--k0", 1, "--r1", 49, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "model.json").read_text())
+    assert (doc["r1_hat"], doc["r2_hat"], doc["r_hat"]) == (49, 0, 49)
+    assert (doc["loadings"]["rows"], doc["loadings"]["cols"]) == (120, 49)
+    assert doc["step2_no_sharp_minimum"] is True
+
+
+def test_import_loads_no_third_party_package_but_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import hdfactor, hdfactor.cli; "
+         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+         "print(sorted(new - set(sys.stdlib_module_names)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['hdfactor', 'numpy']"
+
+
 def test_diagnose_outputs(tmp_path):
     path, panel = write_panel_csv(tmp_path, n=500, p=10, seed=10)
     series = Panel(panel.values[:1], time_labels=panel.time_labels)

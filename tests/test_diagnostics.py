@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.signal import lfilter
 
 from hdfactor import (
     DomainError,
@@ -21,7 +20,11 @@ from helpers import random_orthogonal, table1_scenario
 
 def ar1_series(n, theta, seed):
     rng = np.random.default_rng(seed)
-    return lfilter([1.0], [1.0, -theta], rng.standard_normal(n + 200))[200:]
+    level, path = 0.0, []
+    for shock in rng.standard_normal(n + 200).tolist():
+        level = shock + theta * level
+        path.append(level)
+    return np.array(path[200:])
 
 
 # ------------------------------------------------------------------- cross_acf

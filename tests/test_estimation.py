@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -401,6 +403,30 @@ def test_two_step_rejects_bad_override():
     for r1 in (51, 60):
         with pytest.raises(DomainError, match="min\\(p-1, n\\)"):
             two_step_estimate(wide, k0=1, r1_override=r1)
+
+
+def assert_empty_second_pass(model, r1, p):
+    assert (model.r1_hat, model.r2_hat, model.r_hat) == (r1, 0, r1)
+    assert model.eigenvalues_step2[0] <= 1e-12 * model.eigenvalues[0]
+    assert model.ratios_step2.shape == (model.ratio_span,)
+    assert np.isnan(model.ratios_step2).all()
+    assert model.step2_no_sharp_minimum is True
+    assert model.loadings.shape == (p, r1)
+
+
+def test_two_step_full_rank_deflation_finds_no_second_pass_factors():
+    # The centred 50 x 120 panel has rank 49: deflating 49 directions
+    # leaves roundoff (about 1e-53 of the first pass's top eigenvalue).
+    panel, _ = generate(table1_scenario(50, 120, seed=66))
+    assert_empty_second_pass(two_step_estimate(panel, k0=1, r1_override=49), 49, 120)
+
+
+@pytest.mark.parametrize("k0", [1, 3])
+def test_two_step_noiseless_rank_two_panel_finds_no_second_pass_factors(k0):
+    scn = replace(table1_scenario(200, 20, seed=67), r=2, deltas=(0.0, 0.0),
+                  ar_coeffs=(0.6, -0.5), noise_var=0.0)
+    panel, _ = generate(scn)
+    assert_empty_second_pass(two_step_estimate(panel, k0=k0, r1_override=2), 2, 20)
 
 
 def test_two_step_univariate_is_degenerate():
