@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _index_list(text: str) -> list:
+    try:
+        return [int(d) for d in text.split(",") if d.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_panel_flags(sub):
     sub.add_argument("input", help="panel CSV file")
     sub.add_argument("--orientation", choices=sorted(ORIENTATION_FLAGS), default="time-rows")
@@ -78,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_flags(diag)
     diag.add_argument("--two-step", action="store_true", help="diagnose the two-step fit")
     diag.add_argument("--max-lag", type=int, default=20)
-    diag.add_argument("--directions", default=None,
+    diag.add_argument("--directions", type=_index_list, default=None,
                       help="comma-separated eigen indices (> r_hat) for residual projections")
     diag.add_argument("--project", default=None, metavar="FILE",
                       help="one-series CSV to project onto the factor-series span")
@@ -113,28 +120,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_trace_csvs(out: Path, model, suffix1: str = "", suffix2: str = None):
-    write_csv(
-        out / f"eigenvalues{suffix1}.csv",
-        ["index", "lambda"],
-        [(i + 1, v) for i, v in enumerate(model.eigenvalues)],
-    )
-    write_csv(
-        out / f"ratios{suffix1}.csv",
-        ["index", "ratio"],
-        [(i + 1, v) for i, v in enumerate(model.ratios)],
-    )
-    if suffix2 is not None:
-        write_csv(
-            out / f"eigenvalues{suffix2}.csv",
-            ["index", "lambda"],
-            [(i + 1, v) for i, v in enumerate(model.eigenvalues_step2)],
-        )
-        write_csv(
-            out / f"ratios{suffix2}.csv",
-            ["index", "ratio"],
-            [(i + 1, v) for i, v in enumerate(model.ratios_step2)],
-        )
+def _write_trace_csvs(out: Path, model, suffixes=("",)):
+    """Eigenvalue and ratio traces, one pair of files per pass named by ``suffixes``."""
+    passes = [(model.eigenvalues, model.ratios), (model.eigenvalues_step2, model.ratios_step2)]
+    for suffix, (eigenvalues, ratios) in zip(suffixes, passes):
+        write_csv(out / f"eigenvalues{suffix}.csv", ["index", "lambda"], enumerate(eigenvalues, 1))
+        write_csv(out / f"ratios{suffix}.csv", ["index", "ratio"], enumerate(ratios, 1))
 
 
 def _print_fit(model):
@@ -173,7 +164,7 @@ def cmd_two_step(args) -> int:
                               window_centering=args.appendix_centering)
     out = _out_dir(args)
     dump_json(out / "model.json", model_to_dict(model))
-    _write_trace_csvs(out, model, "_pass1", "_pass2")
+    _write_trace_csvs(out, model, ("_pass1", "_pass2"))
     _dump_matrices(args, out, panel, model)
     _print_fit(model)
     return 0
@@ -197,8 +188,7 @@ def cmd_diagnose(args) -> int:
 
     extras = {"variance_explained": [float(v) for v in shares]}
     if args.directions:
-        directions = [int(d) for d in str(args.directions).split(",") if d.strip()]
-        residual_acf = residual_projection_acf(model, panel, directions, args.max_lag)
+        residual_acf = residual_projection_acf(model, panel, args.directions, args.max_lag)
         write_csv(out / "residual_acf.csv", ["i", "j", "lag", "value", "band"],
                   acf_rows(residual_acf))
     if args.project:
@@ -225,50 +215,72 @@ def _as_list(value):
     return value if isinstance(value, list) else [value]
 
 
+def _require(config: dict, *keys) -> None:
+    missing = [key for key in keys if key not in config]
+    if missing:
+        raise ParseError(f"scenario file is missing keys: {', '.join(missing)}")
+
+
+def _read(config: dict, key: str, kind, default=None, *, many: bool = False):
+    """``config[key]``, or ``default`` when absent, converted by ``kind``.
+
+    With ``many`` the value is a list, and a scalar becomes a one-item list.
+    A value ``kind`` rejects is a ParseError that names the key.
+    """
+    raw = config.get(key, default)
+    try:
+        return [kind(v) for v in _as_list(raw)] if many else kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"scenario key {key!r} has an invalid value: {raw!r}") from None
+
+
 def _scenario_from_config(config: dict, seed) -> Scenario:
-    required = [key for key in ("n", "p", "r") if key not in config]
-    if required:
-        raise ParseError(f"scenario file is missing keys: {', '.join(required)}")
-    r = int(config["r"])
-    deltas = [float(d) for d in _as_list(config.get("deltas", 0.0))]
+    _require(config, "n", "p", "r")
+    r = _read(config, "r", int)
+    deltas = _read(config, "deltas", float, 0.0, many=True)
     if len(deltas) == 1:
         deltas *= r
-    ar = [float(a) for a in _as_list(config.get("ar_coeffs", 0.5))]
+    ar = _read(config, "ar_coeffs", float, 0.5, many=True)
     if len(ar) == 1:
         ar *= r
     return Scenario(
-        n=int(config["n"]),
-        p=int(config["p"]),
+        n=_read(config, "n", int),
+        p=_read(config, "p", int),
         r=r,
         deltas=tuple(deltas),
         ar_coeffs=tuple(ar),
-        noise_var=float(config.get("noise_var", 1.0)),
-        k0=int(config.get("k0", 1)),
+        noise_var=_read(config, "noise_var", float, 1.0),
+        k0=_read(config, "k0", int, 1),
         loading_scheme=str(config.get("loading_scheme", "uniform-scaled")),
         seed=int(seed),
     )
+
+
+def _p_coef(config: dict):
+    return None if config.get("p_coef") is None else _read(config, "p_coef", float)
 
 
 def cmd_simulate(args) -> int:
     config = load_config(args.scenario)
     study = str(config.get("study", "")).strip()
     scenario_id = str(config.get("id", Path(args.scenario).stem))
-    reps = int(args.reps if args.reps is not None else config.get("reps", 200))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    reps = args.reps if args.reps is not None else _read(config, "reps", int, 200)
+    seed = args.seed if args.seed is not None else _read(config, "seed", int, 0)
     out = _out_dir(args)
     doc = {"id": scenario_id, "study": study, "reps": reps, "metadata": _metadata(seed)}
 
     if study == "table1":
+        _require(config, "n_grid", "p_rules")
         cells = run_table1(
-            deltas=[float(d) for d in _as_list(config.get("deltas", [0.0]))],
-            n_grid=[int(n) for n in _as_list(config["n_grid"])],
-            p_rules=[float(c) for c in _as_list(config["p_rules"])],
+            deltas=_read(config, "deltas", float, [0.0], many=True),
+            n_grid=_read(config, "n_grid", int, many=True),
+            p_rules=_read(config, "p_rules", float, many=True),
             reps=reps,
             base_seed=seed,
-            r=int(config.get("r", 3)),
-            ar_coeffs=[float(a) for a in _as_list(config.get("ar_coeffs", [0.6, -0.5, 0.3]))],
-            noise_var=float(config.get("noise_var", 1.0)),
-            k0=int(config.get("k0", 1)),
+            r=_read(config, "r", int, 3),
+            ar_coeffs=_read(config, "ar_coeffs", float, [0.6, -0.5, 0.3], many=True),
+            noise_var=_read(config, "noise_var", float, 1.0),
+            k0=_read(config, "k0", int, 1),
         )
         doc["cells"] = [
             {
@@ -286,10 +298,8 @@ def cmd_simulate(args) -> int:
             print(f"delta={delta:g} n={n} p={p}: freq_correct={res.freq_correct:.3f}")
     elif study == "ratio-trace":
         scenario = _scenario_from_config(config, seed)
-        n_grid = [int(n) for n in _as_list(config.get("n_grid", scenario.n))]
-        p_coef = config.get("p_coef")
-        result = ratio_trace_study(scenario, n_grid, reps,
-                                   p_coef=None if p_coef is None else float(p_coef))
+        n_grid = _read(config, "n_grid", int, scenario.n, many=True)
+        result = ratio_trace_study(scenario, n_grid, reps, p_coef=_p_coef(config))
         rows = []
         for n in result.n_grid:
             traces = result.traces[n]
@@ -324,17 +334,15 @@ def cmd_simulate(args) -> int:
 def cmd_rates(args) -> int:
     config = load_config(args.scenario)
     scenario_id = str(config.get("id", Path(args.scenario).stem))
-    reps = int(args.reps if args.reps is not None else config.get("reps", 200))
-    seed = int(args.seed if args.seed is not None else config.get("seed", 0))
+    reps = args.reps if args.reps is not None else _read(config, "reps", int, 200)
+    seed = args.seed if args.seed is not None else _read(config, "seed", int, 0)
     config.setdefault("loading_scheme", "all-ones")
     config.setdefault("r", 1)
-    config.setdefault("p", int(config.get("p", 10)))
+    config.setdefault("p", 10)
     scenario = _scenario_from_config(config, seed)
-    n_grid = [int(n) for n in _as_list(config.get("n_grid", scenario.n))]
-    tracked = [int(j) for j in _as_list(config.get("tracked_j", [1, 2]))]
-    p_coef = config.get("p_coef")
-    study = eigen_error_study(scenario, n_grid, tracked, reps,
-                              p_coef=None if p_coef is None else float(p_coef))
+    n_grid = _read(config, "n_grid", int, scenario.n, many=True)
+    tracked = _read(config, "tracked_j", int, [1, 2], many=True)
+    study = eigen_error_study(scenario, n_grid, tracked, reps, p_coef=_p_coef(config))
     slopes = fit_error_slopes(study)
 
     out = _out_dir(args)

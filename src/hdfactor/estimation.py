@@ -14,7 +14,7 @@ of the estimated zero-eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -218,29 +218,32 @@ def sym_eigen(m: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=values, eigenvectors=vectors)
 
 
-def _pooled_eigen(values: np.ndarray, k0: int, window_centering: bool = False,
-                  vectors: bool = True):
-    """Descending spectrum of the pooled matrix of a p x n panel.
+def _span(values: np.ndarray):
+    """Basis and coordinates of the panel's column span.
 
-    Returns an ``EigenSystem`` with sign-normalized eigenvectors, or only
-    the eigenvalues when ``vectors`` is false.
-
-    For p <= n the dense p x p matrix is formed and decomposed.  For p > n
-    the panel is factored as ``Q R`` (reduced QR, Q of shape p x n).
-    Centering, in either mode, commutes with multiplying by Q', so every
-    lag autocovariance is ``Q S_k(R) Q'`` and the pooled matrix is
-    ``Q M(R) Q'``.  Its eigenpairs therefore come from the n x n
-    matrix ``M(R)``: the eigenvectors are Q times those of ``M(R)``
-    (n columns), and the eigenvalues past n are exact zeros.  QR needs no
-    rank threshold, unlike an SVD.
+    For p <= n the basis is the identity (``None``) and the coordinates are
+    the panel itself.  For p > n they are the reduced QR ``values = Q R``,
+    with Q of shape p x n; QR needs no rank threshold, unlike an SVD.
     """
-    values = np.asarray(values, dtype=float)
-    p, n = values.shape
-    basis = None
-    if p > n:
-        basis, values = np.linalg.qr(values)
+    if values.shape[0] > values.shape[1]:
+        return np.linalg.qr(values)
+    return None, values
+
+
+def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vectors: bool = True):
+    """Descending spectrum of the pooled matrix of a panel given in span coordinates.
+
+    Returns ``(eigenvalues, eigenvectors)``: the spectrum padded with exact
+    zeros to length p, and the sign-normalized eigenvectors in coordinate
+    space, or ``None`` when ``vectors`` is false.
+
+    Centering, in either mode, commutes with multiplying by the span basis
+    Q, so the pooled matrix of the panel ``Q R`` is ``Q M(R) Q'``: its
+    eigenvectors are Q times those of ``M(R)``, and its eigenvalues past
+    the span's dimension are exact zeros.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _pool(_lag_cov(values, k, window_centering) for k in range(1, k0 + 1))
+        m = _pool(_lag_cov(coords, k, window_centering) for k in range(1, k0 + 1))
     if not np.isfinite(m).all():
         raise DomainError(
             "pooled matrix is not finite: it grows with the fourth power of the "
@@ -248,16 +251,18 @@ def _pooled_eigen(values: np.ndarray, k0: int, window_centering: bool = False,
         )
     if vectors:
         system = sym_eigen(m)
-        lam = system.eigenvalues
+        lam, coord_vectors = system.eigenvalues, system.eigenvectors
     else:
-        lam = np.linalg.eigvalsh(m)[::-1]
-    if basis is None:
-        return system if vectors else lam
-    # Clipping roundoff negatives keeps the padded spectrum descending.
-    lam = np.concatenate([np.clip(lam, 0.0, None), np.zeros(p - n)])
-    if not vectors:
-        return lam
-    return EigenSystem(eigenvalues=lam, eigenvectors=_normalize_signs(basis @ system.eigenvectors))
+        lam, coord_vectors = np.linalg.eigvalsh(m)[::-1], None
+    if p > lam.size:
+        # Clipping roundoff negatives keeps the padded spectrum descending.
+        lam = np.concatenate([np.clip(lam, 0.0, None), np.zeros(p - lam.size)])
+    return lam, coord_vectors
+
+
+def _in_panel(basis: Optional[np.ndarray], coord_vectors: np.ndarray) -> np.ndarray:
+    """Map coordinate-space eigenvectors to sign-normalized panel-space ones."""
+    return coord_vectors if basis is None else _normalize_signs(basis @ coord_vectors)
 
 
 def default_ratio_span(p: int) -> int:
@@ -313,27 +318,61 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = Non
 def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False) -> np.ndarray:
     """Descending spectrum of the pooled matrix, skipping eigenvector work.
 
-    Fast path for Monte Carlo studies; agrees with the full decomposition
-    in exact arithmetic.  For p > n the entries past n are exact zeros.
+    Fast path for the Monte Carlo studies, which need only the spectrum.
+    It calls ``eigvalsh`` where ``estimate`` calls ``eigh`` for its
+    loadings; at the studies' sizes (p = 20 to 200) ``eigh`` costs 2 to 3
+    times as much, so both modes stay.  The two agree in exact arithmetic
+    but not bitwise: their spectra differ by roundoff, within 1e-12 of the
+    largest eigenvalue, and give the same factor count on a seeded Table-1
+    grid (pinned by the tests).  For p > n the entries past n are exact
+    zeros.
     """
-    return _pooled_eigen(values, int(k0), window_centering, vectors=False)
+    values = np.asarray(values, dtype=float)
+    return _pooled_eigen(_span(values)[1], values.shape[0], int(k0), window_centering, False)[0]
 
 
-def _fit_from_spectrum(centered, eigen, r_hat, ratios, k0, span, **extra) -> FactorModel:
-    loadings = eigen.eigenvectors[:, :r_hat]
-    factors = loadings.T @ centered
-    residuals = centered - loadings @ factors
+class _FirstPass(NamedTuple):
+    """The eigenanalysis that ``estimate`` and ``two_step_estimate`` share."""
+
+    centered: np.ndarray             # the centered p x n panel
+    basis: Optional[np.ndarray]      # span basis Q for p > n, None (identity) otherwise
+    coords: np.ndarray               # the centered panel in span coordinates
+    k0: int
+    eigenvalues: np.ndarray
+    coord_vectors: np.ndarray        # eigenvectors in span coordinates
+    eigenvectors: np.ndarray         # the same in panel space
+    r_hat: int
+    ratios: np.ndarray
+    ratio_span: int
+
+
+def _first_pass(panel: Panel, k0, ratio_span, window_centering) -> _FirstPass:
+    """Center the panel, eigensolve its pooled matrix in span coordinates, count."""
+    _validate_lag(panel.n, k0, largest=True)
+    k0 = int(k0)
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    basis, coords = _span(panel.values)
+    lam, coord_vectors = _pooled_eigen(coords, panel.p, k0, window_centering)
+    if panel.p == 1:
+        if float(centered[0] @ centered[0] / panel.n) < 1e-300:
+            raise DomainError("degenerate spectrum: the single series has zero variance")
+        span, r_hat, ratios = 0, 1, np.empty(0)
+    else:
+        span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
+        r_hat, ratios = ratio_estimate(lam, span)
+    coords = centered if basis is None else coords - coords.mean(axis=1, keepdims=True)
+    return _FirstPass(centered, basis, coords, k0, lam, coord_vectors,
+                      _in_panel(basis, coord_vectors), r_hat, ratios, span)
+
+
+def _fit(first: _FirstPass, loadings: np.ndarray, **extra) -> FactorModel:
+    """Factor model of the centered panel on orthonormal ``loadings``."""
+    factors = loadings.T @ first.centered
+    residuals = first.centered - loadings @ factors
     return FactorModel(
-        r_hat=r_hat,
-        loadings=loadings,
-        factors=factors,
-        residuals=residuals,
-        eigenvalues=eigen.eigenvalues,
-        ratios=ratios,
-        k0=k0,
-        ratio_span=span,
-        eigenvectors=eigen.eigenvectors,
-        **extra,
+        r_hat=loadings.shape[1], loadings=loadings, factors=factors, residuals=residuals,
+        eigenvalues=first.eigenvalues, ratios=first.ratios, k0=first.k0,
+        ratio_span=first.ratio_span, eigenvectors=first.eigenvectors, **extra,
     )
 
 
@@ -351,32 +390,12 @@ def estimate(
     eigenvalues, the factor series is their projection of the centered
     panel, and the residuals are the orthogonal remainder.
 
-    A univariate panel (p = 1) is a degenerate special case: the ratio
-    search needs at least two eigenvalues, so the single direction is
-    reported as the one factor with an empty ratio trace.
+    A univariate panel (p = 1) skips the ratio search, which needs two
+    eigenvalues: its single direction is the one factor, with an empty
+    ratio trace.
     """
-    _validate_lag(panel.n, k0, largest=True)
-    k0 = int(k0)
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    if panel.p == 1:
-        variance = float(centered[0] @ centered[0] / panel.n)
-        if variance < 1e-300:
-            raise DomainError("degenerate spectrum: the single series has zero variance")
-        return FactorModel(
-            r_hat=1,
-            loadings=np.ones((1, 1)),
-            factors=centered.copy(),
-            residuals=np.zeros_like(centered),
-            eigenvalues=m_eigenvalues(panel.values, k0),
-            ratios=np.empty(0),
-            k0=k0,
-            ratio_span=0,
-            eigenvectors=np.ones((1, 1)),
-        )
-    eigen = _pooled_eigen(panel.values, k0, window_centering)
-    span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
-    r_hat, ratios = ratio_estimate(eigen.eigenvalues, span)
-    return _fit_from_spectrum(centered, eigen, r_hat, ratios, k0, span)
+    first = _first_pass(panel, k0, ratio_span, window_centering)
+    return _fit(first, first.eigenvectors[:, : first.r_hat])
 
 
 def two_step_estimate(
@@ -389,12 +408,13 @@ def two_step_estimate(
 ) -> FactorModel:
     """Two-step fit for factors of mixed strength.
 
-    Step one runs the one-step fit and keeps its ``r1`` leading directions
-    (``r1_override`` replaces the estimated count when given).  Step two
-    projects those directions out of the panel, reruns the same pipeline
-    on the deflated data, and appends the ``r2`` leading directions found
-    there.  The combined loading matrix stays orthonormal because the
-    deflated panel lives in the orthogonal complement of the first-pass
+    Step one is the one-step eigenanalysis; it keeps the ``r1`` leading
+    directions (``r1_override`` replaces the estimated count when given).
+    Step two projects them out of the panel in the first pass's span
+    coordinates, reruns the eigenanalysis there, and appends the ``r2``
+    leading directions it finds; for p > n that is again an n x n problem,
+    with no second QR.  The combined loadings stay orthonormal because the
+    deflated panel lies in the orthogonal complement of the first-pass
     directions.
 
     When the first pass takes the panel's whole column span (``r1`` equal
@@ -404,46 +424,25 @@ def two_step_estimate(
     """
     if panel.p == 1:
         raise DomainError("two-step estimation is degenerate for a univariate panel")
-    first = estimate(panel, k0, ratio_span, window_centering=window_centering)
+    first = _first_pass(panel, k0, ratio_span, window_centering)
     r1 = first.r_hat if r1_override is None else int(r1_override)
     # Past min(p, n) columns there are no computed directions to deflate.
-    limit = min(panel.p - 1, first.eigenvectors.shape[1])
+    limit = min(panel.p - 1, first.coord_vectors.shape[1])
     if not 1 <= r1 <= limit:
         raise DomainError(
             f"first-pass factor count must be in [1, min(p-1, n)] = [1, {limit}], got {r1}"
         )
-    loadings1 = first.eigenvectors[:, :r1]
-
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    deflated = centered - loadings1 @ (loadings1.T @ centered)
-    eigen2 = _pooled_eigen(deflated, int(k0), window_centering)
-    span = first.ratio_span
-    if eigen2.eigenvalues[0] <= RATIO_FLOOR * first.eigenvalues[0]:
-        r2, ratios2 = 0, np.full(span, np.nan)
+    w1 = first.coord_vectors[:, :r1]
+    deflated = first.coords - w1 @ (w1.T @ first.coords)
+    lam2, coord_vectors2 = _pooled_eigen(deflated, panel.p, first.k0, window_centering)
+    if lam2[0] <= RATIO_FLOOR * first.eigenvalues[0]:
+        r2, ratios2 = 0, np.full(first.ratio_span, np.nan)
     else:
-        r2, ratios2 = ratio_estimate(eigen2.eigenvalues, span)
-    loadings2 = eigen2.eigenvectors[:, :r2]
-
-    loadings = np.hstack([loadings1, loadings2])
-    factors = loadings.T @ centered
-    residuals = centered - loadings @ factors
-    return FactorModel(
-        r_hat=r1 + r2,
-        loadings=loadings,
-        factors=factors,
-        residuals=residuals,
-        eigenvalues=first.eigenvalues,
-        ratios=first.ratios,
-        k0=int(k0),
-        ratio_span=span,
-        method="two-step",
-        r1_hat=r1,
-        r2_hat=r2,
-        eigenvalues_step2=eigen2.eigenvalues,
-        ratios_step2=ratios2,
-        step2_no_sharp_minimum=r2 == 0 or bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO),
-        eigenvectors=first.eigenvectors,
-    )
+        r2, ratios2 = ratio_estimate(lam2, first.ratio_span)
+    loadings2 = _in_panel(first.basis, coord_vectors2[:, :r2])
+    return _fit(first, np.hstack([first.eigenvectors[:, :r1], loadings2]), method="two-step",
+                r1_hat=r1, r2_hat=r2, eigenvalues_step2=lam2, ratios_step2=ratios2,
+                step2_no_sharp_minimum=r2 == 0 or bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO))
 
 
 def population_m(loadings: np.ndarray, ar_coeffs: Sequence[float], k0: int):

@@ -98,17 +98,12 @@ def _matrix_block(matrix: np.ndarray) -> dict:
     }
 
 
-def model_to_dict(
-    model: FactorModel,
-    *,
-    include_factors: bool = True,
-    extras: Optional[dict] = None,
-) -> dict:
+def model_to_dict(model: FactorModel, *, extras: Optional[dict] = None) -> dict:
     """JSON-ready summary of a fitted model.
 
-    Loadings are always embedded (row-major with dimensions); the factor
-    series can be suppressed for very wide panels.  ``extras`` lets the
-    caller attach diagnostics such as variance shares.
+    Loadings and the factor series are embedded row-major with their
+    dimensions.  ``extras`` lets the caller attach diagnostics such as
+    variance shares.
     """
     doc = {
         "r_hat": int(model.r_hat),
@@ -125,13 +120,7 @@ def model_to_dict(
         doc["ratios_step2"] = [float(v) for v in model.ratios_step2]
         doc["step2_no_sharp_minimum"] = bool(model.step2_no_sharp_minimum)
     doc["loadings"] = _matrix_block(model.loadings)
-    if include_factors:
-        doc["factors"] = _matrix_block(model.factors)
-    else:
-        doc["factors"] = {
-            "rows": int(model.factors.shape[0]),
-            "cols": int(model.factors.shape[1]),
-        }
+    doc["factors"] = _matrix_block(model.factors)
     residuals = model.residuals
     doc["residual_summary"] = {
         "rms": float(np.sqrt((residuals**2).mean())),

@@ -211,6 +211,8 @@ def worker_count(default: Optional[int] = None) -> int:
 
 def _map_reps(task: Callable[[int], object], reps: int, workers: Optional[int]) -> list:
     """Run ``task(rep)`` for rep = 0..reps-1, results in rep order."""
+    if reps < 1:
+        raise DomainError("need at least one replication")
     workers = worker_count() if workers is None else max(1, int(workers))
     if workers == 1 or reps <= 1:
         return [task(rep) for rep in range(reps)]
@@ -254,6 +256,21 @@ def _replicated(scenario: Scenario, *coords: int) -> Scenario:
     return replace(scenario, seed=derive_seed(scenario.seed, *coords))
 
 
+def _replicate_spectra(cell: Scenario, coords: tuple, reps: int, workers: Optional[int],
+                       reduce: Callable[[np.ndarray], object]) -> list:
+    """``reduce`` of the pooled spectrum of each replication of ``cell``, in rep order.
+
+    Replication ``rep`` draws its panel from the seed derived from the
+    cell's seed, ``coords`` and ``rep``.
+    """
+    def one_rep(rep: int):
+        scn = _replicated(cell, *coords, rep)
+        panel, _ = generate(scn)
+        return reduce(m_eigenvalues(panel.values, scn.k0))
+
+    return _map_reps(one_rep, reps, workers)
+
+
 def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McResult:
     counts: dict = {}
     for r_hat in r_hats:
@@ -290,8 +307,6 @@ def run_table1(
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    if reps < 1:
-        raise DomainError("need at least one replication")
     cells = []
     for delta in deltas:
         for n in n_grid:
@@ -307,15 +322,9 @@ def run_table1(
                     k0=k0,
                     seed=base_seed,
                 )
-
-                def one_rep(rep: int, cell=cell, delta=delta, n=n, p=p) -> int:
-                    scn = _replicated(cell, _delta_code(delta), n, p, rep)
-                    panel, _ = generate(scn)
-                    lam = m_eigenvalues(panel.values, scn.k0)
-                    r_hat, _ = ratio_estimate(lam, default_ratio_span(p))
-                    return r_hat
-
-                r_hats = _map_reps(one_rep, reps, workers)
+                span = default_ratio_span(p)
+                r_hats = _replicate_spectra(cell, (_delta_code(delta), n, p), reps, workers,
+                                            lambda lam: ratio_estimate(lam, span)[0])
                 cells.append((float(delta), int(n), p, float(rule), _count_result(cell, reps, r_hats)))
     return cells
 
@@ -346,6 +355,7 @@ def eigen_error_study(
             "eigen-error study needs the all-ones loading scheme so the population spectrum is exact"
         )
     tracked_j = tuple(int(j) for j in tracked_j)
+    tracked = [j - 1 for j in tracked_j]
     errors: dict = {}
     p_of_n: dict = {}
     population: dict = {}
@@ -355,17 +365,11 @@ def eigen_error_study(
             raise DomainError(f"tracked index {max(tracked_j)} exceeds dimension {p}")
         cell = replace(scenario, n=int(n), p=p)
         _, lam_pop = population_m(np.ones((p, scenario.r)), cell.ar_coeffs, cell.k0)
-
-        def one_rep(rep: int, cell=cell, n=n, p=p, lam_pop=lam_pop):
-            scn = _replicated(cell, n, p, rep)
-            panel, _ = generate(scn)
-            lam = m_eigenvalues(panel.values, scn.k0)
-            return np.array([lam[j - 1] - lam_pop[j - 1] for j in tracked_j])
-
-        rows = _map_reps(one_rep, reps, workers)
+        rows = _replicate_spectra(cell, (n, p), reps, workers,
+                                  lambda lam: lam[tracked] - lam_pop[tracked])
         errors[int(n)] = np.vstack(rows)
         p_of_n[int(n)] = p
-        population[int(n)] = lam_pop[[j - 1 for j in tracked_j]]
+        population[int(n)] = lam_pop[tracked]
     return EigenErrorStudy(
         scenario=scenario,
         n_grid=tuple(int(n) for n in n_grid),
@@ -424,15 +428,8 @@ def ratio_trace_study(
         p = _resolve_p(scenario, n, p_coef)
         cell = replace(scenario, n=int(n), p=p)
         span = default_ratio_span(p)
-
-        def one_rep(rep: int, cell=cell, n=n, p=p, span=span):
-            scn = _replicated(cell, n, p, rep)
-            panel, _ = generate(scn)
-            lam = m_eigenvalues(panel.values, scn.k0)
-            _, ratios = ratio_estimate(lam, span)
-            return ratios
-
-        rows = _map_reps(one_rep, reps, workers)
+        rows = _replicate_spectra(cell, (n, p), reps, workers,
+                                  lambda lam: ratio_estimate(lam, span)[1])
         traces[int(n)] = np.vstack(rows)
         medians[int(n)] = np.nanmedian(traces[int(n)], axis=0)
         p_of_n[int(n)] = p

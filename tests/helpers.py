@@ -2,7 +2,15 @@
 
 import numpy as np
 
-from hdfactor import Scenario
+from hdfactor import (
+    Panel,
+    Scenario,
+    build_m,
+    default_ratio_span,
+    ratio_estimate,
+    sym_eigen,
+    two_step_estimate,
+)
 
 
 def s1_scenario(n, p=None, seed=0):
@@ -65,3 +73,24 @@ def random_orthogonal(size, seed):
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((size, size)))
     return q * np.sign(np.diag(r))
+
+
+def dense_reference(panel, k0, wc):
+    """Spectrum, eigenvectors and ratio search of the explicit p x p matrix."""
+    system = sym_eigen(build_m(panel, k0, window_centering=wc).m_hat)
+    r_hat, ratios = ratio_estimate(system.eigenvalues, default_ratio_span(panel.p))
+    return system, r_hat, ratios
+
+
+def assert_second_pass_matches_dense_reference(panel, k0, wc, r1):
+    """Two-step second pass against the dense fit of the explicitly deflated panel."""
+    model = two_step_estimate(panel, k0, r1_override=r1, window_centering=wc)
+    loadings1 = model.loadings[:, :r1]
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    deflated = Panel(centered - loadings1 @ (loadings1.T @ centered))
+    system, r2, ratios2 = dense_reference(deflated, k0, wc)
+    lam1 = system.eigenvalues[0]
+    assert np.abs(model.eigenvalues_step2 - system.eigenvalues).max() <= 1e-12 * lam1
+    assert model.r2_hat == r2
+    assert np.array_equal(np.isnan(model.ratios_step2), np.isnan(ratios2))
+    assert model.loadings.shape == (panel.p, r1 + r2)

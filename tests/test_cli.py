@@ -173,6 +173,14 @@ def test_diagnose_rejects_direction_beyond_computed_ones_with_exit_1(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_diagnose_non_integer_direction_is_a_bad_flag_exit_3(tmp_path):
+    path, _ = write_panel_csv(tmp_path, n=300, p=10, seed=11)
+    proc = run_cli("diagnose", path, "--k0", 1, "--directions", "3,x", "--out", tmp_path)
+    assert proc.returncode == 3
+    assert "--directions" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_estimate_overflowing_panel_exits_1(tmp_path):
     panel, _ = generate(table1_scenario(60, 8, seed=13))
     path = tmp_path / "huge.csv"
@@ -231,6 +239,38 @@ def test_simulate_unknown_study_exits_2(tmp_path):
     cfg.write_text(json.dumps({"study": "mystery"}))
     proc = run_cli("simulate", "--scenario", cfg, "--out", tmp_path)
     assert proc.returncode == 2
+
+
+def test_simulate_table1_without_grid_exits_2(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("study = table1\np_rules = 0.2\n")
+    proc = run_cli("simulate", "--scenario", cfg, "--reps", 2, "--out", tmp_path)
+    assert proc.returncode == 2
+    assert "scenario file is missing keys: n_grid" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_non_numeric_scenario_value_exits_2(tmp_path):
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text("study = ratio-trace\nn = abc\np = 8\nr = 1\n")
+    proc = run_cli("simulate", "--scenario", cfg, "--reps", 2, "--out", tmp_path)
+    assert proc.returncode == 2
+    assert "scenario key 'n'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_replications_exit_1(tmp_path):
+    trace = tmp_path / "trace.cfg"
+    trace.write_text("study = ratio-trace\nn = 60\np = 10\nr = 1\n")
+    two = tmp_path / "two.cfg"
+    two.write_text("study = two-step\nn = 60\np = 10\nr = 1\n")
+    rates = tmp_path / "rates.cfg"
+    rates.write_text("n = 60\np = 10\nn_grid = 60, 80, 100\n")
+    for command, cfg in (("simulate", trace), ("simulate", two), ("rates", rates)):
+        proc = run_cli(command, "--scenario", cfg, "--reps", 0, "--out", tmp_path)
+        assert proc.returncode == 1, cfg
+        assert "need at least one replication" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_rates_smoke(tmp_path):

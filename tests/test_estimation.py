@@ -19,7 +19,15 @@ from hdfactor import (
     sym_eigen,
     two_step_estimate,
 )
-from helpers import naive_autocov, random_orthogonal, s1_scenario, s3_scenario, table1_scenario
+from helpers import (
+    assert_second_pass_matches_dense_reference,
+    dense_reference,
+    naive_autocov,
+    random_orthogonal,
+    s1_scenario,
+    s3_scenario,
+    table1_scenario,
+)
 
 
 def ar1_panel(n, p, theta=0.7, noise=1.0, seed=0, loadings=None):
@@ -267,6 +275,13 @@ def test_estimate_univariate_panel():
     assert model.ratios.size == 0
     assert_allclose(model.loadings, [[1.0]])
     assert_allclose(model.residuals, np.zeros((1, 30)), atol=1e-14)
+    # The univariate fit honors window centering like any other.
+    windowed = estimate(panel, k0=2, window_centering=True)
+    expected = m_eigenvalues(panel.values, 2, window_centering=True)
+    assert np.array_equal(windowed.eigenvalues, expected)
+    assert windowed.eigenvalues[0] != model.eigenvalues[0]
+    with pytest.raises(DomainError, match="single series has zero variance"):
+        estimate(Panel(np.full((1, 30), 3.0)), k0=2, window_centering=True)
 
 
 def test_estimate_default_lag_depth_is_five():
@@ -279,19 +294,23 @@ def test_fast_spectrum_matches_full_decomposition():
     fast = m_eigenvalues(panel.values, 3)
     full = sym_eigen(build_m(panel, 3).m_hat).eigenvalues
     assert_allclose(fast, full, atol=1e-10 * max(full[0], 1.0))
+    # The studies count from the eigvalsh spectrum, the fits from eigh's:
+    # on Table-1-shaped panels the two differ only by roundoff.
+    for delta in (0.0, 0.5):
+        for n in (100, 200, 400):
+            for rule in (0.2, 0.5, 1.5):
+                p = int(round(rule * n))
+                panel, _ = generate(table1_scenario(n, p, delta, seed=n + p))
+                fast = m_eigenvalues(panel.values, 1)
+                model = estimate(panel, k0=1)
+                assert np.abs(fast - model.eigenvalues).max() <= 1e-12 * model.eigenvalues[0]
+                assert ratio_estimate(fast, default_ratio_span(p))[0] == model.r_hat
 
 
 # ---------------------------------------------------------------- pooled kernel
 
 def kernel_cases(shapes):
     return [(n, p, k0, wc) for n, p in shapes for k0 in (1, 5) for wc in (False, True)]
-
-
-def dense_reference(panel, k0, wc):
-    """Spectrum, eigenvectors and ratio search of the explicit p x p matrix."""
-    system = sym_eigen(build_m(panel, k0, window_centering=wc).m_hat)
-    r_hat, ratios = ratio_estimate(system.eigenvalues, default_ratio_span(panel.p))
-    return system, r_hat, ratios
 
 
 @pytest.mark.parametrize("n, p, k0, wc", kernel_cases([(30, 80), (50, 120)]))
@@ -326,18 +345,14 @@ def test_estimate_narrow_panel_is_bit_identical_to_dense_reference(n, p, k0, wc)
     assert np.array_equal(fast, np.linalg.eigvalsh(pooled)[::-1])
 
 
-def test_two_step_wide_panel_second_pass_matches_dense_reference():
-    panel, _ = generate(table1_scenario(50, 120, seed=58))
-    model = two_step_estimate(panel, k0=2, r1_override=2)
-    loadings1 = model.loadings[:, :2]
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    deflated = Panel(centered - loadings1 @ (loadings1.T @ centered))
-    system, r2, ratios2 = dense_reference(deflated, 2, False)
-    lam1 = system.eigenvalues[0]
-    assert np.abs(model.eigenvalues_step2 - system.eigenvalues).max() <= 1e-12 * lam1
-    assert model.r2_hat == r2
-    assert np.array_equal(np.isnan(model.ratios_step2), np.isnan(ratios2))
-    assert model.loadings.shape == (120, 2 + r2)
+@pytest.mark.parametrize("n, p, k0, wc, r1", [
+    case + (r1,) for case in kernel_cases([(30, 80), (50, 120)]) for r1 in (1, 2, 3)
+])
+def test_two_step_wide_panel_second_pass_matches_dense_reference(n, p, k0, wc, r1):
+    # The fit deflates the first pass's span coordinates; the reference
+    # deflates the p x n panel itself and decomposes the dense matrix.
+    panel, _ = generate(table1_scenario(n, p, seed=n + p + k0))
+    assert_second_pass_matches_dense_reference(panel, k0, wc, r1)
 
 
 @pytest.mark.parametrize("n, p", [(60, 8), (30, 80)])
