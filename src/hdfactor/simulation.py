@@ -5,14 +5,27 @@ Replications are independent: each one draws its own generator seeded from
 the base seed and the replication's coordinates (cell parameters and rep
 index), so results do not depend on execution order or worker count, and
 reruns are bit-identical.
+
+Studies run BLAS single-threaded: while one runs, numpy's bundled OpenBLAS
+is held at one thread and the replication pool supplies the parallelism.
+OpenBLAS's thread count changes result bits at study sizes, so this also
+makes study outputs independent of ``HDFACTOR_THREADS``,
+``OPENBLAS_NUM_THREADS`` and the core count.  With a numpy built against
+another BLAS the thread count is left alone, and the guarantee covers the
+worker count only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -196,7 +209,10 @@ def _delta_code(delta: float) -> int:
 
 
 def worker_count(default: Optional[int] = None) -> int:
-    """Worker cap for replication pools, from HDFACTOR_THREADS when set."""
+    """Worker cap for replication pools, from HDFACTOR_THREADS when set.
+
+    Otherwise ``default``, or the number of CPUs this process may run on.
+    """
     env = os.environ.get("HDFACTOR_THREADS")
     if env is not None:
         try:
@@ -206,7 +222,60 @@ def worker_count(default: Optional[int] = None) -> int:
         return max(1, value)
     if default is not None:
         return max(1, default)
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads_api():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+class _SingleThreadBlas(contextlib.ContextDecorator):
+    """Holds numpy's OpenBLAS at one thread while any study runs.
+
+    The thread count is process-wide, so every holder, in any thread and at
+    any nesting depth, shares one hold: the first to enter saves the count
+    and sets one thread, and the last to leave restores the saved count.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved: Optional[int] = None
+
+    def __enter__(self):
+        with self._lock:
+            api = _openblas_threads_api()
+            if self._holders == 0 and api is not None:
+                self._saved = api[0]()
+                api[1](1)
+            self._holders += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._saved is not None:
+                _openblas_threads_api()[1](self._saved)
+                self._saved = None
+
+
+_single_thread_blas = _SingleThreadBlas()
 
 
 def _map_reps(task: Callable[[int], object], reps: int, workers: Optional[int]) -> list:
@@ -284,6 +353,7 @@ def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McRes
     )
 
 
+@_single_thread_blas
 def run_table1(
     deltas: Sequence[float],
     n_grid: Sequence[int],
@@ -333,6 +403,7 @@ def _resolve_p(scenario: Scenario, n: int, p_coef: Optional[float]) -> int:
     return scenario.p if p_coef is None else int(round(p_coef * n))
 
 
+@_single_thread_blas
 def eigen_error_study(
     scenario: Scenario,
     n_grid: Sequence[int],
@@ -412,6 +483,7 @@ def fit_error_slopes(study: EigenErrorStudy, confidence_z: float = 1.96) -> list
     return fits
 
 
+@_single_thread_blas
 def ratio_trace_study(
     scenario: Scenario,
     n_grid: Sequence[int],
@@ -442,6 +514,7 @@ def ratio_trace_study(
     )
 
 
+@_single_thread_blas
 def two_step_study(
     scenario: Scenario, reps: int, *, workers: Optional[int] = None
 ) -> TwoStepStudy:

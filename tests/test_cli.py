@@ -312,3 +312,24 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "hdfactor" in proc.stdout
+
+
+def test_simulate_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    # OpenBLAS's thread count changes the bits of the lag-autocovariance
+    # products at this size, so the bytes only agree if studies fix it.
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text(
+        "study = ratio-trace\nn = 400\np = 200\nr = 3\ndeltas = 0.0\n"
+        "ar_coeffs = 0.6, -0.5, 0.3\n"
+    )
+    outputs = set()
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"blas{blas}-workers{workers}"
+            proc = run_cli("simulate", "--scenario", cfg, "--reps", 6, "--seed", 4, "--out", out,
+                           env_extra={"OPENBLAS_NUM_THREADS": blas, "HDFACTOR_THREADS": workers})
+            assert proc.returncode == 0, proc.stderr
+            result = [line for line in (out / "result.json").read_text().splitlines()
+                      if '"timestamp"' not in line]
+            outputs.add(((out / "traces.csv").read_bytes(), tuple(result)))
+    assert len(outputs) == 1

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +22,7 @@ from hdfactor import (
     run_table1,
     two_step_study,
 )
+from hdfactor import simulation
 from helpers import s1_scenario, s3_scenario, table1_scenario
 
 
@@ -228,3 +232,139 @@ def test_two_step_study_deterministic_across_workers():
     threaded = two_step_study(scn, reps=6, workers=2)
     assert serial.pair_counts == threaded.pair_counts
     assert serial.freq_two == threaded.freq_two
+
+
+# ---------------------------------------------------------------- thread budget
+
+BLAS_API = simulation._openblas_threads_api()
+
+
+def test_worker_count_defaults_to_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("HDFACTOR_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert simulation.worker_count() == 3
+    assert simulation.worker_count(default=5) == 5
+    monkeypatch.setenv("HDFACTOR_THREADS", "2")
+    assert simulation.worker_count() == 2
+
+
+def test_worker_count_falls_back_to_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delenv("HDFACTOR_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulation.worker_count() == 6
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """numpy's OpenBLAS thread count getter, with the count set to 2 for the test."""
+    if BLAS_API is None:
+        yield None
+        return
+    get_threads, set_threads = BLAS_API
+    original = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(original)
+
+
+def test_concurrent_studies_equal_their_serial_results(blas_at_two_threads):
+    scn = table1_scenario(400, 200, seed=71)
+    grids = {"a": [400], "b": [200, 300]}
+    serial = {key: ratio_trace_study(scn, grid, reps=4, workers=2) for key, grid in grids.items()}
+    results, errors = {}, []
+
+    def run(key):
+        try:
+            results[key] = ratio_trace_study(scn, grids[key], reps=4, workers=2)
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(key,)) for key in grids]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert not errors, errors
+    if blas_at_two_threads is not None:
+        assert blas_at_two_threads() == 2
+    for key in grids:
+        for n in grids[key]:
+            assert np.array_equal(results[key].traces[n], serial[key].traces[n], equal_nan=True)
+
+
+def test_blas_hold_survives_many_overlapping_holders(blas_at_two_threads):
+    inside = []
+
+    def hold():
+        for _ in range(3000):
+            with simulation._single_thread_blas:
+                if blas_at_two_threads is not None:
+                    inside.append(blas_at_two_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert simulation._single_thread_blas._holders == 0
+    if blas_at_two_threads is not None:
+        assert set(inside) == {1}
+        assert blas_at_two_threads() == 2
+
+
+@pytest.mark.skipif(BLAS_API is None, reason="numpy's bundled OpenBLAS was not found")
+@pytest.mark.parametrize("study", ["table1", "eigen-error", "two-step"])
+@pytest.mark.parametrize("raising", [False, True], ids=["returns", "raises"])
+def test_studies_run_single_thread_blas_and_restore_the_count(monkeypatch, blas_at_two_threads,
+                                                              study, raising):
+    get_threads = blas_at_two_threads
+    seen = []
+
+    def spy(name, fails):
+        real = getattr(simulation, name)
+
+        def call(*args):
+            seen.append((name, get_threads()))
+            if fails:
+                raise RuntimeError("replication failed")
+            return real(*args)
+
+        monkeypatch.setattr(simulation, name, call)
+
+    spy("generate", raising)
+    spy("population_m", False)
+    run = {
+        "table1": lambda: run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=2),
+        "eigen-error": lambda: eigen_error_study(s1_scenario(60, 10, seed=5), [60], [1], reps=4,
+                                                 workers=2),
+        "two-step": lambda: two_step_study(s3_scenario(100, 20, seed=5), reps=4, workers=2),
+    }[study]
+
+    def attempt():
+        if raising:
+            with pytest.raises(RuntimeError, match="replication failed"):
+                run()
+        else:
+            run()
+
+    attempt()
+    assert get_threads() == 2
+    # A study nested in another hold leaves the count pinned until the
+    # outer hold ends.
+    with simulation._single_thread_blas:
+        attempt()
+        assert get_threads() == 1
+    assert get_threads() == 2
+    assert {count for _, count in seen} == {1}
+    assert ("population_m" in {name for name, _ in seen}) == (study == "eigen-error")
