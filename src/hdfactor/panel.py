@@ -112,6 +112,24 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
+def decode_error(path) -> ParseError:
+    """ParseError for a text file that is not UTF-8, naming its first bad byte.
+
+    Text readers decode in chunks and skip a byte-order mark, so the offset
+    in their ``UnicodeDecodeError`` is not a file offset; the file is read
+    again here as bytes to find one.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(
+            f"{path} is not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        )
+    return ParseError(f"{path} is not UTF-8 text")
+
+
 def _is_numeric(text: str) -> bool:
     try:
         return math.isfinite(float(text))
@@ -129,15 +147,19 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
     Parameters
     ----------
     path : str or Path
-        CSV file, UTF-8, '.' decimal point, no thousands separators.
+        CSV file, UTF-8 with or without a byte-order mark, '.' decimal
+        point, no thousands separators.
     orientation : {"rows-are-time", "rows-are-series"}
         How file rows map onto the panel.  The default matches the common
         convention of one time point per CSV row.
     """
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle)]
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        try:
+            rows = list(csv.reader(handle))
+        except UnicodeDecodeError:
+            raise decode_error(path) from None
     rows = [row for row in rows if row]  # tolerate blank trailing lines
     if not rows:
         raise DimensionError(f"empty table in {path}")
@@ -158,13 +180,21 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
     if has_label_col and width < 2:
         raise DimensionError(f"no data columns in {path}")
 
-    row_offset = 2 if has_header else 1
-    col_offset = 2 if has_label_col else 1
-    data = np.empty((len(body), width - (1 if has_label_col else 0)))
-    for i, row in enumerate(body):
-        cells = row[1:] if has_label_col else row
-        for j, cell in enumerate(cells):
-            data[i, j] = _parse_cell(cell, i + row_offset, j + col_offset)
+    first = 1 if has_label_col else 0
+    data = np.empty((len(body), width - first))
+    # A whole row per call, through the same float() as _parse_cell, so the
+    # bits match; the per-cell loop runs only to name the first bad cell.
+    try:
+        for i, row in enumerate(body):
+            data[i] = list(map(float, row[first:]))
+        clean = np.isfinite(data).all()
+    except ValueError:
+        clean = False
+    if not clean:
+        row_offset = 2 if has_header else 1
+        for i, row in enumerate(body):
+            for j, cell in enumerate(row[first:]):
+                data[i, j] = _parse_cell(cell, i + row_offset, j + first + 1)
 
     row_labels = tuple(row[0] for row in body) if has_label_col else None
     col_labels = None

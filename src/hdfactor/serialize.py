@@ -2,9 +2,12 @@
 
 All floating-point output is rendered with 17 significant digits so that
 every CSV and JSON file round-trips to the exact binary value.  JSON is
-rendered by a small writer of our own because the stdlib encoder offers
-no control over float formatting; NaN (undefined ratio entries) maps to
-null.
+written by a small streaming writer of our own because the stdlib encoder
+offers no control over float formatting; NaN (undefined ratio entries)
+and +-inf map to null.  The writer hands the file one piece at a time and
+formats a list of floats (the embedded loadings and factor series) a
+chunk at a time, so a wide model never exists as one string in memory.
+Config files are read as UTF-8, with or without a byte-order mark.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
+from .panel import decode_error
 
 __all__ = [
     "fmt_float",
@@ -52,8 +56,10 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
+_FLOAT_CHUNK = 4096  # items per write when a JSON list holds only floats
+
+
+def _scalar(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -67,34 +73,58 @@ def _render(obj, indent: int) -> str:
         return fmt_float(value)
     if isinstance(obj, str):
         return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_json(write, obj, pad: str) -> None:
+    """Stream the JSON text of ``obj`` to ``write``; ``pad`` indents its closing bracket."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_render(item, indent + 1)}" for item in obj)
-        return f"[\n{inner}\n{pad}]"
+    if isinstance(obj, (list, tuple, dict)) and not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {_render(value, indent + 1)}"
-            for key, value in obj.items()
-        )
-        return f"{{\n{inner}\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        write("{\n" + inner)
+        for k, (key, value) in enumerate(obj.items()):
+            write((sep if k else "") + json.dumps(str(key)) + ": ")
+            _write_json(write, value, inner)
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        write("[\n" + inner)
+        if all(type(v) is float for v in obj):
+            # Loadings and factor series: one %-format and one write per chunk
+            # of floats, never the whole list as one string.  "%.17g" is
+            # format(v, ".17g"); it writes NaN and +-inf as nan, inf and
+            # -inf, the only items that can hold an "n".
+            for start in range(0, len(obj), _FLOAT_CHUNK):
+                chunk = tuple(obj[start:start + _FLOAT_CHUNK])
+                piece = sep.join(["%.17g"] * len(chunk)) % chunk
+                if "n" in piece:
+                    piece = sep.join("null" if "n" in item else item for item in piece.split(sep))
+                write((sep if start else "") + piece)
+        else:
+            for k, item in enumerate(obj):
+                if k:
+                    write(sep)
+                _write_json(write, item, inner)
+        write("\n" + pad + "]")
+    else:
+        write(_scalar(obj))
 
 
 def dump_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(_render(obj, 0) + "\n")
+        _write_json(handle.write, obj, "")
+        handle.write("\n")
 
 
 def _matrix_block(matrix: np.ndarray) -> dict:
     return {
         "rows": int(matrix.shape[0]),
         "cols": int(matrix.shape[1]),
-        "data": [float(v) for v in np.asarray(matrix, dtype=float).ravel()],  # row-major
+        "data": np.asarray(matrix, dtype=float).ravel().tolist(),  # row-major
     }
 
 
@@ -110,14 +140,14 @@ def model_to_dict(model: FactorModel, *, extras: Optional[dict] = None) -> dict:
         "method": model.method,
         "k0": int(model.k0),
         "R": int(model.ratio_span),
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "ratios": [float(v) for v in model.ratios],
+        "eigenvalues": model.eigenvalues.tolist(),
+        "ratios": model.ratios.tolist(),
     }
     if model.method == "two-step":
         doc["r1_hat"] = int(model.r1_hat)
         doc["r2_hat"] = int(model.r2_hat)
-        doc["eigenvalues_step2"] = [float(v) for v in model.eigenvalues_step2]
-        doc["ratios_step2"] = [float(v) for v in model.ratios_step2]
+        doc["eigenvalues_step2"] = model.eigenvalues_step2.tolist()
+        doc["ratios_step2"] = model.ratios_step2.tolist()
         doc["step2_no_sharp_minimum"] = bool(model.step2_no_sharp_minimum)
     doc["loadings"] = _matrix_block(model.loadings)
     doc["factors"] = _matrix_block(model.factors)
@@ -158,14 +188,17 @@ def _coerce_scalar(text: str):
 
 
 def load_config(path) -> dict:
-    """Read a scenario/config file: JSON, or flat ``key = value`` lines.
+    """Read a UTF-8 scenario/config file: JSON, or flat ``key = value`` lines.
 
     In the flat form, '#' starts a comment, and comma-separated values
     become lists.  Scalars are coerced to bool, int or float when they
     parse as such.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise decode_error(path) from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -333,3 +334,71 @@ def test_simulate_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
                       if '"timestamp"' not in line]
             outputs.add(((out / "traces.csv").read_bytes(), tuple(result)))
     assert len(outputs) == 1
+
+
+# sha256 of model.json from `estimate` and `two-step` with default flags on
+# the seeded n=40, p=100 panel below, computed with the per-item JSON writer
+# this package used before it streamed its output.  A fit that changes its
+# output (r_hat, spectra or loadings) changes these digests too.
+MODEL_JSON_SHA256 = {
+    "estimate": "a9f7592b683e435f91b8bc9888f63d6451516d493c9c40250573e534c4da88d8",
+    "two-step": "a4da9aa9b2bc125f4fcba84bb5b17e319539868d53ca2d8907475ac65b592f75",
+}
+
+
+def test_wide_panel_model_json_bytes_are_pinned(tmp_path):
+    path, _ = write_panel_csv(tmp_path, n=40, p=100, seed=8)
+    for command, digest in MODEL_JSON_SHA256.items():
+        out = tmp_path / command
+        proc = run_cli(command, path, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256((out / "model.json").read_bytes()).hexdigest() == digest
+
+
+def test_bad_cells_exit_2_with_their_messages(tmp_path):
+    cases = {
+        "1,2,3\n4,5,6\n7,8,x\n": "non-numeric cell 'x' at row 3, column 3",
+        "1,2,3\n4,5,6\n7,y,9\n": "non-numeric cell 'y' at row 3, column 2",
+        "1,2\nnan,4\n5,6\n": "non-finite cell 'nan' at row 2, column 1",
+        "1,2\n3,4\n5,inf\n": "non-finite cell 'inf' at row 3, column 2",
+    }
+    for k, (text, message) in enumerate(cases.items()):
+        path = tmp_path / f"bad{k}.csv"
+        path.write_text(text)
+        proc = run_cli("estimate", path, "--out", tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == f"hdfactor: error: {message}\n"
+
+
+def test_non_utf8_inputs_exit_2_without_traceback(tmp_path):
+    panel_path, _ = write_panel_csv(tmp_path, n=60, p=4, seed=13)
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes(b"1\n\xe9\n3\n")
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"study = table1\nid = caf\xe9\n")
+    runs = {
+        "latin1.csv is not UTF-8 text: byte 0xe9 at offset 2": [
+            ("estimate", latin),
+            ("diagnose", panel_path, "--k0", 1, "--project", latin),
+        ],
+        "latin1.cfg is not UTF-8 text: byte 0xe9 at offset 23": [
+            ("simulate", "--scenario", cfg),
+        ],
+    }
+    for message, commands in runs.items():
+        for args in commands:
+            proc = run_cli(*args, "--out", tmp_path / "out")
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.strip().endswith(message)
+
+
+def test_byte_order_mark_does_not_change_the_fit(tmp_path):
+    path, _ = write_panel_csv(tmp_path, n=80, p=6, seed=14)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for source, name in ((path, "plain"), (bom, "bom")):
+        proc = run_cli("estimate", source, "--k0", 1, "--out", tmp_path / name)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "plain" / "model.json").read_bytes() == \
+        (tmp_path / "bom" / "model.json").read_bytes()

@@ -169,3 +169,80 @@ def test_seasonal_demean_period_exceeding_n():
 def test_seasonal_spec_validation():
     with pytest.raises(DomainError):
         SeasonalSpec(0)
+
+
+def _per_cell(cells):
+    """Reference parse: one float() per cell, as the CSV reader's error path does."""
+    return np.array([[float(cell) for cell in row] for row in cells])
+
+
+@pytest.mark.parametrize("orientation", ["rows-are-time", "rows-are-series"])
+@pytest.mark.parametrize("header", [False, True])
+@pytest.mark.parametrize("label_col", [False, True])
+def test_load_csv_values_are_bit_identical_to_per_cell_parse(tmp_path, orientation, header,
+                                                             label_col):
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((9, 7)) * 10.0 ** rng.integers(-200, 200, (9, 7))
+    forms = [lambda v: format(v, ".17g"), repr, lambda v: format(v, ".3g"),
+             lambda v: format(v, ".6e")]
+    cells = [[forms[(i + j) % len(forms)](v) for j, v in enumerate(row)]
+             for i, row in enumerate(values.tolist())]
+    lines = [[f"t{i}"] + row if label_col else row for i, row in enumerate(cells)]
+    if header:
+        lines.insert(0, ([""] if label_col else []) + [f"s{j}" for j in range(7)])
+    path = write(tmp_path, "\n".join(",".join(line) for line in lines) + "\n")
+    panel = load_csv(path, orientation)
+    expected = _per_cell(cells)
+    got = panel.values.T if orientation == "rows-are-time" else panel.values
+    assert got.tobytes() == expected.tobytes()
+    labels = panel.series_labels if orientation == "rows-are-time" else panel.time_labels
+    assert labels == (tuple(f"s{j}" for j in range(7)) if header else None)
+
+
+def test_load_csv_accepts_every_form_float_accepts(tmp_path):
+    path = write(tmp_path, " 2.5 ,1_000,1e3\n-0,+7,.5\n")
+    panel = load_csv(path, "rows-are-series")
+    assert panel.values.tolist() == [[2.5, 1000.0, 1000.0], [0.0, 7.0, 0.5]]
+    assert np.signbit(panel.values[1, 0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2,3\n4,5,6\n7,8,x\n", "non-numeric cell 'x' at row 3, column 3"),
+    ("1,2,3\n4,5,6\n7,y,9\n", "non-numeric cell 'y' at row 3, column 2"),
+    ("d,a,b\nt1,1,2\nt2,3,4\nt3,5,zz\n", "non-numeric cell 'zz' at row 4, column 3"),
+    ("1,2\n3,\n5,6\n", "non-numeric cell '' at row 2, column 2"),
+    ("1,2\n3,4\n5,-inf\n", "non-finite cell '-inf' at row 3, column 2"),
+    ("a,b\n1,inf\n3,4\n", "non-finite cell 'inf' at row 2, column 2"),
+    ("1,2\n3,1e999\n5,6\n", "non-finite cell '1e999' at row 2, column 2"),
+    ("1,nan\n3,4\n5,oops\n", "non-finite cell 'nan' at row 1, column 2"),
+    ("1,2\n3,oops\n5,nan\n", "non-numeric cell 'oops' at row 2, column 2"),
+])
+def test_load_csv_bad_cells_keep_their_exact_messages(tmp_path, text, message):
+    path = write(tmp_path, text)
+    for orientation in ("rows-are-time", "rows-are-series"):
+        with pytest.raises(ParseError) as info:
+            load_csv(path, orientation)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("header", ["", "a,b\n"])
+def test_load_csv_skips_a_byte_order_mark(tmp_path, header):
+    text = header + "1.5,2\n3,4\n5,6\n"
+    plain = load_csv(write(tmp_path, text, "plain.csv"))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    with_bom = load_csv(path)
+    assert with_bom.values.tobytes() == plain.values.tobytes()
+    assert with_bom.series_labels == plain.series_labels == (("a", "b") if header else None)
+
+
+def test_load_csv_rejects_non_utf8_with_file_and_offset(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,2\n3,\xe9\n5,6\n")
+    with pytest.raises(ParseError, match=r"latin1\.csv is not UTF-8 text: byte 0xe9 at offset 6$"):
+        load_csv(path)
+    # The offset is the file's, past a byte-order mark and the reader's first chunk.
+    body = b"1,2\n" * 5000
+    path.write_bytes(b"\xef\xbb\xbf" + body + b"3,\xe9\n")
+    with pytest.raises(ParseError, match=f"byte 0xe9 at offset {3 + len(body) + 2}$"):
+        load_csv(path)

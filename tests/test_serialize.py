@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from hdfactor import ParseError, cross_acf, estimate, generate, two_step_estimate
-from hdfactor.serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
+from hdfactor.serialize import (
+    _FLOAT_CHUNK,
+    acf_rows,
+    dump_json,
+    fmt_float,
+    load_config,
+    model_to_dict,
+    write_csv,
+)
 from helpers import table1_scenario
 
 
@@ -47,6 +55,109 @@ def test_dump_json_round_trips_and_maps_nan_to_null(tmp_path):
     assert loaded["values"][1] == 1 / 3
     assert loaded["values"][2] is None
     assert loaded["nested"]["none"] is None
+
+
+PINNED_DOC = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.7976931348623157e308, 0.1],
+    "scalars": {"int": 7, "true": True, "false": False, "np_bool": np.bool_(True),
+                "float32": np.float32(0.1), "int64": np.int64(-3), "none": None,
+                "nan": float("nan"), "text": 'a"b'},
+    "mixed": [1, 2.5, -0.0, None],
+    "tuple": (1, (2.0, 3)),
+    "array": np.array([[1.0, -2.5], [np.inf, 0.0]]),
+    "rows": [[1.0, 2.0], [], [3]],
+    "empty_list": [],
+    "empty_dict": {},
+    "nested": {"a": {"b": {"c": [1e-300]}}},
+}
+
+PINNED_TEXT = """{
+  "floats": [
+    null,
+    null,
+    null,
+    -0,
+    4.9406564584124654e-324,
+    1.7976931348623157e+308,
+    0.10000000000000001
+  ],
+  "scalars": {
+    "int": 7,
+    "true": true,
+    "false": false,
+    "np_bool": true,
+    "float32": 0.10000000149011612,
+    "int64": -3,
+    "none": null,
+    "nan": null,
+    "text": "a\\"b"
+  },
+  "mixed": [
+    1,
+    2.5,
+    -0,
+    null
+  ],
+  "tuple": [
+    1,
+    [
+      2,
+      3
+    ]
+  ],
+  "array": [
+    [
+      1,
+      -2.5
+    ],
+    [
+      null,
+      0
+    ]
+  ],
+  "rows": [
+    [
+      1,
+      2
+    ],
+    [],
+    [
+      3
+    ]
+  ],
+  "empty_list": [],
+  "empty_dict": {},
+  "nested": {
+    "a": {
+      "b": {
+        "c": [
+          1e-300
+        ]
+      }
+    }
+  }
+}
+"""
+
+
+def test_dump_json_bytes_are_pinned(tmp_path):
+    path = tmp_path / "doc.json"
+    dump_json(path, PINNED_DOC)
+    assert path.read_bytes() == PINNED_TEXT.encode("ascii")
+
+
+@pytest.mark.parametrize("length", [_FLOAT_CHUNK - 1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1,
+                                    2 * _FLOAT_CHUNK + 5])
+def test_dump_json_chunked_float_list_matches_one_piece(tmp_path, length):
+    rng = np.random.default_rng(length)
+    values = (rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)).tolist()
+    for index, special in zip((0, length // 2, length - 1), (np.nan, np.inf, -np.inf)):
+        values[index] = float(special)
+    items = ["null" if not math.isfinite(v) else format(v, ".17g") for v in values]
+    expected = '{\n  "data": [\n    ' + ",\n    ".join(items) + "\n  ]\n}\n"
+    path = tmp_path / "long.json"
+    dump_json(path, {"data": values})
+    assert path.read_text() == expected
 
 
 def test_model_to_dict_one_step():
@@ -122,3 +233,20 @@ def test_load_config_rejects_bad_lines(tmp_path):
     bad_json.write_text("{broken")
     with pytest.raises(ParseError):
         load_config(bad_json)
+
+
+def test_load_config_reads_a_byte_order_mark(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    path = tmp_path / "scenario.json"
+    path.write_bytes(bom + b'{"study": "table1", "seed": 7}')
+    assert load_config(path) == {"study": "table1", "seed": 7}
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(bom + b"study = table1\nseed = 7\n")
+    assert load_config(path) == {"study": "table1", "seed": 7}
+
+
+def test_load_config_rejects_non_utf8_with_offset(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"study = table1\nid = caf\xe9\n")
+    with pytest.raises(ParseError, match=r"latin1\.cfg is not UTF-8 text: byte 0xe9 at offset 23$"):
+        load_config(path)
