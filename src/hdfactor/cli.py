@@ -21,7 +21,7 @@ from . import __version__
 from .diagnostics import cross_acf, projection_residual_ratio, residual_projection_acf, variance_explained
 from .errors import DimensionError, DomainError, HDFactorError, ParseError
 from .estimation import DEFAULT_K0, estimate, two_step_estimate
-from .panel import Panel, SeasonalSpec, load_csv, save_csv, seasonal_demean
+from .panel import SeasonalSpec, load_csv, seasonal_demean, write_matrix_csv
 from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
 from .simulation import (
     GENERATOR_ID,
@@ -139,11 +139,9 @@ def _print_fit(model):
 
 def _dump_matrices(args, out: Path, panel, model):
     if getattr(args, "dump_loadings", False):
-        save_csv(Panel(model.loadings, series_labels=panel.series_labels), out / "loadings.csv",
-                 "rows-are-series")
+        write_matrix_csv(out / "loadings.csv", model.loadings, panel.series_labels)
     if getattr(args, "dump_factors", False):
-        save_csv(Panel(model.factors, time_labels=panel.time_labels), out / "factors.csv",
-                 "rows-are-time")
+        write_matrix_csv(out / "factors.csv", model.factors.T, panel.time_labels)
 
 
 def cmd_estimate(args) -> int:

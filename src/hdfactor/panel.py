@@ -211,11 +211,19 @@ def save_csv(panel: Panel, path, orientation: str = "rows-are-time") -> None:
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     if orientation == "rows-are-time":
-        matrix = panel.values.T
-        col_labels, row_labels = panel.series_labels, panel.time_labels
+        write_matrix_csv(path, panel.values.T, panel.time_labels, panel.series_labels)
     else:
-        matrix = panel.values
-        col_labels, row_labels = panel.time_labels, panel.series_labels
+        write_matrix_csv(path, panel.values, panel.series_labels, panel.time_labels)
+
+
+def write_matrix_csv(path, matrix: np.ndarray, row_labels: Optional[Sequence[str]] = None,
+                     col_labels: Optional[Sequence[str]] = None) -> None:
+    """Write any 2-D matrix in ``save_csv``'s layout, with no panel shape check.
+
+    A header line holds ``col_labels`` (after an empty corner cell when
+    rows are labelled too); each row starts with its label when
+    ``row_labels`` is given.  Values use 17 significant digits.
+    """
     lines = []
     if col_labels is not None:
         header = list(col_labels)

@@ -4,7 +4,10 @@ eigenvalue-error studies, ratio traces, and one-step vs two-step comparisons.
 Replications are independent: each one draws its own generator seeded from
 the base seed and the replication's coordinates (cell parameters and rep
 index), so results do not depend on execution order or worker count, and
-reruns are bit-identical.
+reruns are bit-identical.  A study submits every replication of every cell
+to one thread pool, and the threads overlap: the pooled eigensolve calls
+LAPACK with the interpreter lock released (see ``estimation.sym_eigen``),
+as do numpy's matrix products.
 
 Studies run BLAS single-threaded: while one runs, numpy's bundled OpenBLAS
 is held at one thread and the replication pool supplies the parallelism.
@@ -18,18 +21,18 @@ worker count only.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
+import itertools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _openblas
 from .errors import DimensionError, DomainError
 from .estimation import (
     default_ratio_span,
@@ -228,23 +231,6 @@ def worker_count(default: Optional[int] = None) -> int:
         return os.cpu_count() or 1
 
 
-@functools.cache
-def _openblas_threads_api():
-    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
-    return None
-
-
 class _SingleThreadBlas(contextlib.ContextDecorator):
     """Holds numpy's OpenBLAS at one thread while any study runs.
 
@@ -260,7 +246,7 @@ class _SingleThreadBlas(contextlib.ContextDecorator):
 
     def __enter__(self):
         with self._lock:
-            api = _openblas_threads_api()
+            api = _openblas.threads_api()
             if self._holders == 0 and api is not None:
                 self._saved = api[0]()
                 api[1](1)
@@ -271,22 +257,37 @@ class _SingleThreadBlas(contextlib.ContextDecorator):
         with self._lock:
             self._holders -= 1
             if self._holders == 0 and self._saved is not None:
-                _openblas_threads_api()[1](self._saved)
+                _openblas.threads_api()[1](self._saved)
                 self._saved = None
 
 
 _single_thread_blas = _SingleThreadBlas()
 
 
-def _map_reps(task: Callable[[int], object], reps: int, workers: Optional[int]) -> list:
-    """Run ``task(rep)`` for rep = 0..reps-1, results in rep order."""
+def _rep_tasks(task: Callable[[int], object], reps: int) -> list:
+    """``task`` bound to rep = 0..reps-1: one zero-argument call per replication."""
     if reps < 1:
         raise DomainError("need at least one replication")
-    workers = worker_count() if workers is None else max(1, int(workers))
-    if workers == 1 or reps <= 1:
-        return [task(rep) for rep in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(reps)))
+    return [functools.partial(task, rep) for rep in range(reps)]
+
+
+def _run_cells(cells: list, workers: Optional[int]) -> list:
+    """Results of every cell's tasks, one list per cell in task order.
+
+    ``cells`` holds one list of zero-argument tasks per cell.  All of them
+    share one replication pool, so no cell waits at a barrier for the
+    slowest replication of the cell before it.
+    """
+    tasks = [task for cell in cells for task in cell]
+    if tasks:
+        workers = worker_count() if workers is None else max(1, int(workers))
+    if len(tasks) <= 1 or workers == 1:
+        results = [task() for task in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda task: task(), tasks))
+    results = iter(results)
+    return [list(itertools.islice(results, len(cell))) for cell in cells]
 
 
 def generate(scenario: Scenario):
@@ -325,9 +326,9 @@ def _replicated(scenario: Scenario, *coords: int) -> Scenario:
     return replace(scenario, seed=derive_seed(scenario.seed, *coords))
 
 
-def _replicate_spectra(cell: Scenario, coords: tuple, reps: int, workers: Optional[int],
-                       reduce: Callable[[np.ndarray], object]) -> list:
-    """``reduce`` of the pooled spectrum of each replication of ``cell``, in rep order.
+def _spectrum_tasks(cell: Scenario, coords: tuple, reps: int,
+                    reduce: Callable[[np.ndarray], object]) -> list:
+    """One task per replication of ``cell``: ``reduce`` of its pooled spectrum.
 
     Replication ``rep`` draws its panel from the seed derived from the
     cell's seed, ``coords`` and ``rep``.
@@ -337,7 +338,7 @@ def _replicate_spectra(cell: Scenario, coords: tuple, reps: int, workers: Option
         panel, _ = generate(scn)
         return reduce(m_eigenvalues(panel.values, scn.k0))
 
-    return _map_reps(one_rep, reps, workers)
+    return _rep_tasks(one_rep, reps)
 
 
 def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McResult:
@@ -377,7 +378,7 @@ def run_table1(
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    cells = []
+    cells, tasks = [], []
     for delta in deltas:
         for n in n_grid:
             for rule in p_rules:
@@ -393,10 +394,11 @@ def run_table1(
                     seed=base_seed,
                 )
                 span = default_ratio_span(p)
-                r_hats = _replicate_spectra(cell, (_delta_code(delta), n, p), reps, workers,
-                                            lambda lam: ratio_estimate(lam, span)[0])
-                cells.append((float(delta), int(n), p, float(rule), _count_result(cell, reps, r_hats)))
-    return cells
+                tasks.append(_spectrum_tasks(cell, (_delta_code(delta), n, p), reps,
+                                             lambda lam, span=span: ratio_estimate(lam, span)[0]))
+                cells.append((float(delta), int(n), p, float(rule), cell))
+    return [(delta, n, p, rule, _count_result(cell, reps, r_hats))
+            for (delta, n, p, rule, cell), r_hats in zip(cells, _run_cells(tasks, workers))]
 
 
 def _resolve_p(scenario: Scenario, n: int, p_coef: Optional[float]) -> int:
@@ -427,26 +429,25 @@ def eigen_error_study(
         )
     tracked_j = tuple(int(j) for j in tracked_j)
     tracked = [j - 1 for j in tracked_j]
-    errors: dict = {}
     p_of_n: dict = {}
     population: dict = {}
+    tasks = []
     for n in n_grid:
         p = _resolve_p(scenario, n, p_coef)
         if max(tracked_j) > p:
             raise DomainError(f"tracked index {max(tracked_j)} exceeds dimension {p}")
         cell = replace(scenario, n=int(n), p=p)
         _, lam_pop = population_m(np.ones((p, scenario.r)), cell.ar_coeffs, cell.k0)
-        rows = _replicate_spectra(cell, (n, p), reps, workers,
-                                  lambda lam: lam[tracked] - lam_pop[tracked])
-        errors[int(n)] = np.vstack(rows)
-        p_of_n[int(n)] = p
         population[int(n)] = lam_pop[tracked]
+        tasks.append(_spectrum_tasks(cell, (n, p), reps,
+                                     lambda lam, pop=population[int(n)]: lam[tracked] - pop))
+        p_of_n[int(n)] = p
     return EigenErrorStudy(
         scenario=scenario,
         n_grid=tuple(int(n) for n in n_grid),
         p_of_n=p_of_n,
         tracked_j=tracked_j,
-        errors=errors,
+        errors={int(n): np.vstack(rows) for n, rows in zip(n_grid, _run_cells(tasks, workers))},
         population=population,
     )
 
@@ -493,18 +494,17 @@ def ratio_trace_study(
     workers: Optional[int] = None,
 ) -> RatioTraceStudy:
     """Full eigenvalue-ratio sequences per replication over a size grid."""
-    traces: dict = {}
-    medians: dict = {}
     p_of_n: dict = {}
+    tasks = []
     for n in n_grid:
         p = _resolve_p(scenario, n, p_coef)
         cell = replace(scenario, n=int(n), p=p)
         span = default_ratio_span(p)
-        rows = _replicate_spectra(cell, (n, p), reps, workers,
-                                  lambda lam: ratio_estimate(lam, span)[1])
-        traces[int(n)] = np.vstack(rows)
-        medians[int(n)] = np.nanmedian(traces[int(n)], axis=0)
+        tasks.append(_spectrum_tasks(cell, (n, p), reps,
+                                     lambda lam, span=span: ratio_estimate(lam, span)[1]))
         p_of_n[int(n)] = p
+    traces = {int(n): np.vstack(rows) for n, rows in zip(n_grid, _run_cells(tasks, workers))}
+    medians = {n: np.nanmedian(trace, axis=0) for n, trace in traces.items()}
     return RatioTraceStudy(
         scenario=scenario,
         n_grid=tuple(int(n) for n in n_grid),
@@ -532,7 +532,7 @@ def two_step_study(
         fit = two_step_estimate(panel, scn.k0)
         return fit.r1_hat, fit.r2_hat, not fit.step2_no_sharp_minimum
 
-    results = _map_reps(one_rep, reps, workers)
+    results, = _run_cells([_rep_tasks(one_rep, reps)], workers)
     one_counts: dict = {}
     pair_counts: dict = {}
     hits_one = hits_two = hits_sharp = 0

@@ -2,11 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from hdfactor import Panel, estimate, generate, load_csv, save_csv
-from helpers import table1_scenario
+from helpers import s1_scenario, table1_scenario
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -89,6 +90,40 @@ def test_estimate_optional_dumps_and_variants(tmp_path):
     assert loadings.values.shape == (6, doc["r_hat"])
     factors = load_csv(out / "factors.csv", "rows-are-time")
     assert factors.values.shape == (doc["r_hat"], 120)
+
+
+def _csv_matrix(path):
+    return np.array([[float(cell) for cell in line.split(",")]
+                     for line in path.read_text().splitlines()])
+
+
+def test_estimate_dumps_a_one_factor_fit(tmp_path):
+    panel, _ = generate(s1_scenario(150, 30, seed=4))
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, "rows-are-time")
+    out = tmp_path / "out"
+    proc = run_cli("estimate", path, "--out", out, "--dump-loadings", "--dump-factors")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "model.json").read_text())["r_hat"] == 1
+    expected = estimate(panel)
+    np.testing.assert_allclose(_csv_matrix(out / "loadings.csv"), expected.loadings,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_csv_matrix(out / "factors.csv"), expected.factors.T,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_two_step_dumps_one_first_pass_factor_and_none_after(tmp_path):
+    # A noiseless one-factor panel has rank one: the second pass finds nothing.
+    panel, _ = generate(replace(s1_scenario(150, 30, seed=4), noise_var=0.0))
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, "rows-are-time")
+    out = tmp_path / "out"
+    proc = run_cli("two-step", path, "--out", out, "--dump-loadings", "--dump-factors")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "model.json").read_text())
+    assert (doc["r1_hat"], doc["r2_hat"]) == (1, 0)
+    assert _csv_matrix(out / "loadings.csv").shape == (30, 1)
+    assert _csv_matrix(out / "factors.csv").shape == (150, 1)
 
 
 def test_estimate_with_seasonal_period(tmp_path):

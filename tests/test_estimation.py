@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from hdfactor import (
     sym_eigen,
     two_step_estimate,
 )
+from hdfactor import _openblas
 from helpers import (
     assert_second_pass_matches_dense_reference,
     dense_reference,
@@ -523,3 +526,42 @@ def test_scale_equivariance_fourth_power():
     scaled = estimate(Panel(c * panel.values), k0=2)
     assert base.r_hat == scaled.r_hat
     assert_allclose(scaled.ratios, base.ratios, rtol=1e-8, equal_nan=True)
+
+
+# ---------------------------------------------------------------- concurrent eigensolves
+
+def test_concurrent_eigensolves_equal_their_serial_results():
+    # More threads than cores and a tiny switch interval: every solve, with
+    # the interpreter lock released inside LAPACK, must keep its bits.
+    rng = np.random.default_rng(91)
+    jobs = []
+    for size in (8, 24, 40, 64, 100, 150):
+        x = rng.standard_normal((size, size + 5))
+        jobs.append(((x @ x.T) / size, size % 2 == 0))
+    serial = [_openblas.eigh(m, vectors) for m, vectors in jobs]
+    mismatches, errors = [], []
+
+    def solve(index):
+        m, vectors = jobs[index]
+        try:
+            for _ in range(30):
+                values, vecs = _openblas.eigh(m, vectors)
+                if values.tobytes() != serial[index][0].tobytes() or (
+                        vectors and vecs.tobytes() != serial[index][1].tobytes()):
+                    mismatches.append(index)
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not mismatches

@@ -133,11 +133,12 @@ def test_run_table1_smoke_counts():
 def test_run_table1_independent_of_worker_count():
     kwargs = dict(deltas=[0.0], n_grid=[60, 100], p_rules=[0.2, 0.5], reps=8, base_seed=23)
     serial = run_table1(workers=1, **kwargs)
-    threaded = run_table1(workers=3, **kwargs)
-    assert [c[:4] for c in serial] == [c[:4] for c in threaded]
-    for (_, _, _, _, a), (_, _, _, _, b) in zip(serial, threaded):
-        assert a.r_hat_counts == b.r_hat_counts
-        assert a.freq_correct == b.freq_correct
+    for workers in (2, 3):
+        threaded = run_table1(workers=workers, **kwargs)
+        assert [c[:4] for c in serial] == [c[:4] for c in threaded]
+        for (_, _, _, _, a), (_, _, _, _, b) in zip(serial, threaded):
+            assert a.r_hat_counts == b.r_hat_counts
+            assert a.freq_correct == b.freq_correct
 
 
 def test_run_table1_cells_do_not_depend_on_grid_shape():
@@ -169,6 +170,28 @@ def test_eigen_error_study_with_p_coefficient():
     assert study.p_of_n == {100: 50, 200: 100}
 
 
+def test_eigen_error_study_independent_of_worker_count():
+    scn = s1_scenario(100, 10, seed=44)
+    kwargs = dict(n_grid=[40, 60, 100], tracked_j=[1, 2], reps=5, p_coef=0.5)
+    serial = eigen_error_study(scn, workers=1, **kwargs)
+    for workers in (2, 3):
+        threaded = eigen_error_study(scn, workers=workers, **kwargs)
+        assert list(threaded.errors) == [40, 60, 100]
+        for n in serial.n_grid:
+            assert serial.errors[n].tobytes() == threaded.errors[n].tobytes()
+            assert serial.population[n].tobytes() == threaded.population[n].tobytes()
+
+
+def test_eigen_error_study_rejects_a_tracked_index_above_p_before_any_replication(monkeypatch):
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    with pytest.raises(DomainError, match="tracked index 6 exceeds dimension 5"):
+        eigen_error_study(s1_scenario(100, 10, seed=45), [40, 10], [1, 6], reps=3, p_coef=0.5,
+                          workers=2)
+
+
 def test_fit_error_slopes_recovers_synthetic_rate():
     scn = s1_scenario(100, 10, seed=0)
     n_grid = (100, 200, 400, 800)
@@ -193,6 +216,18 @@ def test_ratio_trace_study_smoke_on_tiny_panel():
     study = ratio_trace_study(scn, [6], reps=4)
     assert study.traces[6].shape == (4, 1)
     assert np.isfinite(study.median_ratios[6]).all()
+
+
+def test_ratio_trace_study_independent_of_worker_count():
+    scn = table1_scenario(100, 20, seed=52)
+    kwargs = dict(n_grid=[40, 60, 80], reps=5, p_coef=1.5)
+    serial = ratio_trace_study(scn, workers=1, **kwargs)
+    for workers in (2, 3):
+        threaded = ratio_trace_study(scn, workers=workers, **kwargs)
+        assert list(threaded.traces) == [40, 60, 80]
+        for n in serial.n_grid:
+            assert serial.traces[n].tobytes() == threaded.traces[n].tobytes()
+            assert serial.median_ratios[n].tobytes() == threaded.median_ratios[n].tobytes()
 
 
 def test_ratio_trace_study_mixed_strength_signature():
@@ -236,7 +271,7 @@ def test_two_step_study_deterministic_across_workers():
 
 # ---------------------------------------------------------------- thread budget
 
-BLAS_API = simulation._openblas_threads_api()
+BLAS_API = simulation._openblas.threads_api()
 
 
 def test_worker_count_defaults_to_the_affinity_mask(monkeypatch):
