@@ -25,6 +25,7 @@ from .panel import SeasonalSpec, load_csv, seasonal_demean, write_matrix_csv
 from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
 from .simulation import (
     GENERATOR_ID,
+    TABLE1_AR_COEFFS,
     Scenario,
     eigen_error_study,
     fit_error_slopes,
@@ -72,14 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_flags(est)
     est.add_argument("--dump-loadings", action="store_true", help="also write loadings.csv")
     est.add_argument("--dump-factors", action="store_true", help="also write factors.csv")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=cmd_fit, two_step=False)
 
     two = commands.add_parser("two-step", help="fit the two-step model for mixed-strength factors")
     _add_panel_flags(two)
     two.add_argument("--r1", type=int, default=None, help="override the first-pass factor count")
     two.add_argument("--dump-loadings", action="store_true")
     two.add_argument("--dump-factors", action="store_true")
-    two.set_defaults(func=cmd_two_step)
+    two.set_defaults(func=cmd_fit, two_step=True)
 
     diag = commands.add_parser("diagnose", help="fit, then run whiteness and variance diagnostics")
     _add_panel_flags(diag)
@@ -107,11 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_panel(args):
+def _fit(args):
+    """The panel named on the command line and the model fitted to it."""
     panel = load_csv(args.input, ORIENTATION_FLAGS[args.orientation])
     if args.seasonal_period is not None:
         panel = seasonal_demean(panel, SeasonalSpec(args.seasonal_period))
-    return panel
+    if args.two_step:
+        model = two_step_estimate(panel, args.k0, args.max_ratio_index, getattr(args, "r1", None),
+                                  window_centering=args.appendix_centering)
+    else:
+        model = estimate(panel, args.k0, args.max_ratio_index,
+                         window_centering=args.appendix_centering)
+    return panel, model
 
 
 def _out_dir(args) -> Path:
@@ -137,42 +145,21 @@ def _print_fit(model):
     print("leading eigenvalue ratios:", "  ".join(shown))
 
 
-def _dump_matrices(args, out: Path, panel, model):
-    if getattr(args, "dump_loadings", False):
+def cmd_fit(args) -> int:
+    panel, model = _fit(args)
+    out = _out_dir(args)
+    dump_json(out / "model.json", model_to_dict(model))
+    _write_trace_csvs(out, model, ("_pass1", "_pass2") if args.two_step else ("",))
+    if args.dump_loadings:
         write_matrix_csv(out / "loadings.csv", model.loadings, panel.series_labels)
-    if getattr(args, "dump_factors", False):
+    if args.dump_factors:
         write_matrix_csv(out / "factors.csv", model.factors.T, panel.time_labels)
-
-
-def cmd_estimate(args) -> int:
-    panel = _load_panel(args)
-    model = estimate(panel, args.k0, args.max_ratio_index,
-                     window_centering=args.appendix_centering)
-    out = _out_dir(args)
-    dump_json(out / "model.json", model_to_dict(model))
-    _write_trace_csvs(out, model)
-    _dump_matrices(args, out, panel, model)
-    _print_fit(model)
-    return 0
-
-
-def cmd_two_step(args) -> int:
-    panel = _load_panel(args)
-    model = two_step_estimate(panel, args.k0, args.max_ratio_index, args.r1,
-                              window_centering=args.appendix_centering)
-    out = _out_dir(args)
-    dump_json(out / "model.json", model_to_dict(model))
-    _write_trace_csvs(out, model, ("_pass1", "_pass2"))
-    _dump_matrices(args, out, panel, model)
     _print_fit(model)
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    panel = _load_panel(args)
-    fit = two_step_estimate if args.two_step else estimate
-    model = fit(panel, args.k0, args.max_ratio_index,
-                window_centering=args.appendix_centering)
+    panel, model = _fit(args)
     out = _out_dir(args)
 
     factor_acf = cross_acf(model.factors, args.max_lag,
@@ -276,7 +263,7 @@ def cmd_simulate(args) -> int:
             reps=reps,
             base_seed=seed,
             r=_read(config, "r", int, 3),
-            ar_coeffs=_read(config, "ar_coeffs", float, [0.6, -0.5, 0.3], many=True),
+            ar_coeffs=_read(config, "ar_coeffs", float, list(TABLE1_AR_COEFFS), many=True),
             noise_var=_read(config, "noise_var", float, 1.0),
             k0=_read(config, "k0", int, 1),
         )

@@ -33,10 +33,7 @@ __all__ = [
 
 
 def fmt_float(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".17g")
+    return format(float(value), ".17g")
 
 
 def _cell(value) -> str:

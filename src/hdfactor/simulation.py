@@ -21,11 +21,11 @@ worker count only.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import os
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -211,10 +211,10 @@ def _delta_code(delta: float) -> int:
     return int(round(float(delta) * 1_000_000))
 
 
-def worker_count(default: Optional[int] = None) -> int:
+def worker_count() -> int:
     """Worker cap for replication pools, from HDFACTOR_THREADS when set.
 
-    Otherwise ``default``, or the number of CPUs this process may run on.
+    Otherwise the number of CPUs this process may run on.
     """
     env = os.environ.get("HDFACTOR_THREADS")
     if env is not None:
@@ -223,8 +223,6 @@ def worker_count(default: Optional[int] = None) -> int:
         except ValueError:
             raise DomainError(f"HDFACTOR_THREADS must be an integer, got {env!r}") from None
         return max(1, value)
-    if default is not None:
-        return max(1, default)
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -264,32 +262,6 @@ class _SingleThreadBlas(contextlib.ContextDecorator):
 _single_thread_blas = _SingleThreadBlas()
 
 
-def _rep_tasks(task: Callable[[int], object], reps: int) -> list:
-    """``task`` bound to rep = 0..reps-1: one zero-argument call per replication."""
-    if reps < 1:
-        raise DomainError("need at least one replication")
-    return [functools.partial(task, rep) for rep in range(reps)]
-
-
-def _run_cells(cells: list, workers: Optional[int]) -> list:
-    """Results of every cell's tasks, one list per cell in task order.
-
-    ``cells`` holds one list of zero-argument tasks per cell.  All of them
-    share one replication pool, so no cell waits at a barrier for the
-    slowest replication of the cell before it.
-    """
-    tasks = [task for cell in cells for task in cell]
-    if tasks:
-        workers = worker_count() if workers is None else max(1, int(workers))
-    if len(tasks) <= 1 or workers == 1:
-        results = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda task: task(), tasks))
-    results = iter(results)
-    return [list(itertools.islice(results, len(cell))) for cell in cells]
-
-
 def generate(scenario: Scenario):
     """Draw one panel from the scenario, returning it with its truth.
 
@@ -322,35 +294,47 @@ def generate(scenario: Scenario):
     return panel, SimulationTruth(loadings=loadings, factors=factors, noise=noise)
 
 
-def _replicated(scenario: Scenario, *coords: int) -> Scenario:
-    return replace(scenario, seed=derive_seed(scenario.seed, *coords))
+def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
+    """``reps`` measured replications of every cell, one result list per cell.
 
-
-def _spectrum_tasks(cell: Scenario, coords: tuple, reps: int,
-                    reduce: Callable[[np.ndarray], object]) -> list:
-    """One task per replication of ``cell``: ``reduce`` of its pooled spectrum.
-
-    Replication ``rep`` draws its panel from the seed derived from the
-    cell's seed, ``coords`` and ``rep``.
+    Each cell is a ``(scenario, coords, measure)`` triple.  Replication
+    ``rep`` draws its panel from the seed derived from the scenario's seed,
+    ``coords`` and ``rep``, and returns ``measure(scn, panel)``.  Every
+    replication of every cell is one job in one pool, so no cell waits at a
+    barrier for the slowest replication of the cell before it.
     """
-    def one_rep(rep: int):
-        scn = _replicated(cell, *coords, rep)
-        panel, _ = generate(scn)
-        return reduce(m_eigenvalues(panel.values, scn.k0))
+    if cells and reps < 1:
+        raise DomainError("need at least one replication")
 
-    return _rep_tasks(one_rep, reps)
+    def run(job):
+        (scenario, coords, measure), rep = job
+        scn = replace(scenario, seed=derive_seed(scenario.seed, *coords, rep))
+        panel, _ = generate(scn)
+        return measure(scn, panel)
+
+    jobs = list(itertools.product(cells, range(reps)))
+    if jobs:
+        workers = worker_count() if workers is None else max(1, int(workers))
+    if len(jobs) <= 1 or workers == 1:
+        results = [run(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, jobs))
+    return [results[i * reps:(i + 1) * reps] for i in range(len(cells))]
+
+
+def _spectrum(reduce: Callable[[np.ndarray], object]):
+    """Measure: ``reduce`` of the pooled spectrum of a replication's panel."""
+    return lambda scn, panel: reduce(m_eigenvalues(panel.values, scn.k0))
 
 
 def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McResult:
-    counts: dict = {}
-    for r_hat in r_hats:
-        counts[int(r_hat)] = counts.get(int(r_hat), 0) + 1
-    freq = sum(1 for r_hat in r_hats if r_hat == scenario.r) / reps
+    counts = Counter(int(r_hat) for r_hat in r_hats)
     return McResult(
         scenario=scenario,
         reps=reps,
         r_hat_counts=dict(sorted(counts.items())),
-        freq_correct=freq,
+        freq_correct=counts[scenario.r] / reps,
     )
 
 
@@ -378,7 +362,7 @@ def run_table1(
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    cells, tasks = [], []
+    cells, grid = [], []
     for delta in deltas:
         for n in n_grid:
             for rule in p_rules:
@@ -394,11 +378,11 @@ def run_table1(
                     seed=base_seed,
                 )
                 span = default_ratio_span(p)
-                tasks.append(_spectrum_tasks(cell, (_delta_code(delta), n, p), reps,
-                                             lambda lam, span=span: ratio_estimate(lam, span)[0]))
-                cells.append((float(delta), int(n), p, float(rule), cell))
-    return [(delta, n, p, rule, _count_result(cell, reps, r_hats))
-            for (delta, n, p, rule, cell), r_hats in zip(cells, _run_cells(tasks, workers))]
+                cells.append((cell, (_delta_code(delta), n, p),
+                              _spectrum(lambda lam, span=span: ratio_estimate(lam, span)[0])))
+                grid.append((float(delta), int(n), p, float(rule)))
+    return [(*coords, _count_result(cell, reps, r_hats))
+            for coords, (cell, _, _), r_hats in zip(grid, cells, _replicate(cells, reps, workers))]
 
 
 def _resolve_p(scenario: Scenario, n: int, p_coef: Optional[float]) -> int:
@@ -428,10 +412,14 @@ def eigen_error_study(
             "eigen-error study needs the all-ones loading scheme so the population spectrum is exact"
         )
     tracked_j = tuple(int(j) for j in tracked_j)
+    if not tracked_j:
+        raise DomainError("need at least one tracked eigenvalue")
+    if min(tracked_j) < 1:
+        raise DomainError(f"tracked index {min(tracked_j)} is below 1")
     tracked = [j - 1 for j in tracked_j]
     p_of_n: dict = {}
     population: dict = {}
-    tasks = []
+    cells = []
     for n in n_grid:
         p = _resolve_p(scenario, n, p_coef)
         if max(tracked_j) > p:
@@ -439,15 +427,16 @@ def eigen_error_study(
         cell = replace(scenario, n=int(n), p=p)
         _, lam_pop = population_m(np.ones((p, scenario.r)), cell.ar_coeffs, cell.k0)
         population[int(n)] = lam_pop[tracked]
-        tasks.append(_spectrum_tasks(cell, (n, p), reps,
-                                     lambda lam, pop=population[int(n)]: lam[tracked] - pop))
+        cells.append((cell, (n, p),
+                      _spectrum(lambda lam, pop=population[int(n)]: lam[tracked] - pop)))
         p_of_n[int(n)] = p
     return EigenErrorStudy(
         scenario=scenario,
         n_grid=tuple(int(n) for n in n_grid),
         p_of_n=p_of_n,
         tracked_j=tracked_j,
-        errors={int(n): np.vstack(rows) for n, rows in zip(n_grid, _run_cells(tasks, workers))},
+        errors={int(n): np.vstack(rows)
+                for n, rows in zip(n_grid, _replicate(cells, reps, workers))},
         population=population,
     )
 
@@ -495,15 +484,14 @@ def ratio_trace_study(
 ) -> RatioTraceStudy:
     """Full eigenvalue-ratio sequences per replication over a size grid."""
     p_of_n: dict = {}
-    tasks = []
+    cells = []
     for n in n_grid:
         p = _resolve_p(scenario, n, p_coef)
-        cell = replace(scenario, n=int(n), p=p)
         span = default_ratio_span(p)
-        tasks.append(_spectrum_tasks(cell, (n, p), reps,
-                                     lambda lam, span=span: ratio_estimate(lam, span)[1]))
+        cells.append((replace(scenario, n=int(n), p=p), (n, p),
+                      _spectrum(lambda lam, span=span: ratio_estimate(lam, span)[1])))
         p_of_n[int(n)] = p
-    traces = {int(n): np.vstack(rows) for n, rows in zip(n_grid, _run_cells(tasks, workers))}
+    traces = {int(n): np.vstack(rows) for n, rows in zip(n_grid, _replicate(cells, reps, workers))}
     medians = {n: np.nanmedian(trace, axis=0) for n, trace in traces.items()}
     return RatioTraceStudy(
         scenario=scenario,
@@ -526,28 +514,21 @@ def two_step_study(
     first-pass count is the one-step count, and its second pass counts the
     factors left in the deflated panel.
     """
-    def one_rep(rep: int):
-        scn = _replicated(scenario, scenario.n, scenario.p, rep)
-        panel, _ = generate(scn)
+    def measure(scn: Scenario, panel: Panel):
         fit = two_step_estimate(panel, scn.k0)
         return fit.r1_hat, fit.r2_hat, not fit.step2_no_sharp_minimum
 
-    results, = _run_cells([_rep_tasks(one_rep, reps)], workers)
-    one_counts: dict = {}
-    pair_counts: dict = {}
-    hits_one = hits_two = hits_sharp = 0
-    for r1, r2, sharp in results:
-        one_counts[r1] = one_counts.get(r1, 0) + 1
-        pair_counts[(r1, r2)] = pair_counts.get((r1, r2), 0) + 1
-        hits_one += r1 == scenario.r
-        hits_two += r1 + r2 == scenario.r
-        hits_sharp += (r1 + r2 if sharp else r1) == scenario.r
+    results, = _replicate([(scenario, (scenario.n, scenario.p), measure)], reps, workers)
+    one_counts = Counter(r1 for r1, _, _ in results)
+    pair_counts = Counter((r1, r2) for r1, r2, _ in results)
+    hits_two = sum(r1 + r2 == scenario.r for r1, r2, _ in results)
+    hits_sharp = sum((r1 + r2 if sharp else r1) == scenario.r for r1, r2, sharp in results)
     return TwoStepStudy(
         scenario=scenario,
         reps=reps,
         one_step_counts=dict(sorted(one_counts.items())),
         pair_counts=dict(sorted(pair_counts.items())),
-        freq_one=hits_one / reps,
+        freq_one=one_counts[scenario.r] / reps,
         freq_two=hits_two / reps,
         freq_two_sharp=hits_sharp / reps,
     )

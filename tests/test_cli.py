@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from hdfactor import Panel, estimate, generate, load_csv, save_csv
 from helpers import s1_scenario, table1_scenario
@@ -324,6 +325,22 @@ def test_rates_smoke(tmp_path):
     error_lines = (out / "errors.csv").read_text().strip().splitlines()
     assert error_lines[0] == "scenario_id,n,p,rep,index,value"
     assert len(error_lines) == 1 + 3 * 10 * 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n = 100\np = 10\nn_grid = 60, 80, 100\ntracked_j = 0, 1\n", "tracked index 0 is below 1"),
+    ('{"n": 100, "p": 10, "n_grid": [60, 80, 100], "tracked_j": []}',
+     "need at least one tracked eigenvalue"),
+], ids=["zero", "empty"])
+def test_rates_rejects_a_tracked_index_below_1_with_exit_1(tmp_path, text, message):
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "rates"
+    proc = run_cli("rates", "--scenario", cfg, "--reps", 3, "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == f"hdfactor: error: {message}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_cli_reruns_are_byte_identical_apart_from_timestamp(tmp_path):

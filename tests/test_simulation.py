@@ -50,6 +50,57 @@ def test_generate_pins_panel_bits(scenario, digest):
     assert hashlib.sha256(panel.values.tobytes()).hexdigest() == digest
 
 
+def _study_digest(*parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return digest.hexdigest()
+
+
+def _table1_counts(workers):
+    cells = run_table1([0.0, 0.5], [40, 80], [0.2, 1.0], reps=4, base_seed=11, workers=workers)
+    return _study_digest([(delta, n, p, rule, res.r_hat_counts)
+                          for delta, n, p, rule, res in cells])
+
+
+def _eigen_errors(workers, p_coef):
+    study = eigen_error_study(s1_scenario(100, 10, seed=44), [40, 60], [1, 2], reps=3,
+                              p_coef=p_coef, workers=workers)
+    return _study_digest(*(study.errors[n] for n in study.n_grid))
+
+
+def _ratio_traces(workers):
+    study = ratio_trace_study(s3_scenario(60, 30, seed=3), [60, 80], reps=3, p_coef=0.5,
+                              workers=workers)
+    return _study_digest(*(study.traces[n] for n in study.n_grid))
+
+
+def _two_step_counts(workers, n, p):
+    study = two_step_study(s3_scenario(n, p, seed=9), reps=6, workers=workers)
+    return _study_digest(study.one_step_counts, study.pair_counts, study.freq_one,
+                         study.freq_two, study.freq_two_sharp)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("study, digest", [
+    (_table1_counts, "a4152b7a0fb453de5024f13ad949bf3a14d60d15f6d993fe90c5d95796067883"),
+    (lambda workers: _eigen_errors(workers, None),
+     "b7de5a5b073b10d2b25a94f2aac13a2cdd55f60864c14ddca589e885332428b7"),
+    (lambda workers: _eigen_errors(workers, 0.5),
+     "04001d8be9e28865f72e13b720dfa129b3e43a87b0186ad5702349cd443087fb"),
+    (_ratio_traces, "3257c0109757724cc8c72883870f96cd4b49a1c46eab9f0e24ba09771e89117e"),
+    (lambda workers: _two_step_counts(workers, 100, 30),
+     "aacaf8117d2582262d1cebd972bd15be6ba9094a300fe559a48cf55f988d102a"),
+    (lambda workers: _two_step_counts(workers, 50, 80),
+     "b1ff7d80fca322764ca3a318e1a236e01c86d2fa41fbb43f63629a7a485e369b"),
+], ids=["table1", "eigen-error", "eigen-error-p-coef", "ratio-trace", "two-step", "two-step-p>n"])
+def test_study_outputs_pin_their_bits(study, digest, workers):
+    # The worker-count tests compare worker counts with each other; these
+    # digests also catch a change to the seed coordinates or the draw order
+    # that every worker count would share.
+    assert study(workers) == digest
+
+
 def test_generate_different_seeds_differ():
     panel_a, _ = generate(table1_scenario(100, 12, seed=1))
     panel_b, _ = generate(table1_scenario(100, 12, seed=2))
@@ -182,13 +233,20 @@ def test_eigen_error_study_independent_of_worker_count():
             assert serial.population[n].tobytes() == threaded.population[n].tobytes()
 
 
-def test_eigen_error_study_rejects_a_tracked_index_above_p_before_any_replication(monkeypatch):
+@pytest.mark.parametrize("tracked_j, message", [
+    ([1, 6], "tracked index 6 exceeds dimension 5"),
+    ([0, 1], "tracked index 0 is below 1"),
+    ([-1], "tracked index -1 is below 1"),
+    ([], "need at least one tracked eigenvalue"),
+], ids=["above-p", "zero", "negative", "empty"])
+def test_eigen_error_study_rejects_a_tracked_index_outside_1_to_p_before_any_replication(
+        monkeypatch, tracked_j, message):
     def no_replications(*args):
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(simulation, "generate", no_replications)
-    with pytest.raises(DomainError, match="tracked index 6 exceeds dimension 5"):
-        eigen_error_study(s1_scenario(100, 10, seed=45), [40, 10], [1, 6], reps=3, p_coef=0.5,
+    with pytest.raises(DomainError, match=message):
+        eigen_error_study(s1_scenario(100, 10, seed=45), [40, 10], tracked_j, reps=3, p_coef=0.5,
                           workers=2)
 
 
@@ -279,7 +337,6 @@ def test_worker_count_defaults_to_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert simulation.worker_count() == 3
-    assert simulation.worker_count(default=5) == 5
     monkeypatch.setenv("HDFACTOR_THREADS", "2")
     assert simulation.worker_count() == 2
 
