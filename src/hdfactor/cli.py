@@ -10,7 +10,7 @@ consume.  Exit codes separate failure classes so scripts can branch:
 from __future__ import annotations
 
 import argparse
-import os
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -25,7 +25,6 @@ from .panel import SeasonalSpec, load_csv, seasonal_demean, write_matrix_csv
 from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
 from .simulation import (
     GENERATOR_ID,
-    TABLE1_AR_COEFFS,
     Scenario,
     eigen_error_study,
     fit_error_slopes,
@@ -187,86 +186,94 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _metadata(seed) -> dict:
-    return {
-        "generator": GENERATOR_ID,
-        "package": f"hdfactor {__version__}",
-        "base_seed": int(seed),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
-
-
 def _require(config: dict, *keys) -> None:
     missing = [key for key in keys if key not in config]
     if missing:
         raise ParseError(f"scenario file is missing keys: {', '.join(missing)}")
 
 
-def _read(config: dict, key: str, kind, default=None, *, many: bool = False):
-    """``config[key]``, or ``default`` when absent, converted by ``kind``.
+def _given(config: dict, **kinds) -> dict:
+    """The keys of ``kinds`` that ``config`` sets, each converted by its kind.
 
-    With ``many`` the value is a list, and a scalar becomes a one-item list.
-    A value ``kind`` rejects is a ParseError that names the key.
+    A key the file leaves out is left out here too, so the library's own
+    default applies.  A value its kind rejects is a ParseError naming the key.
     """
-    raw = config.get(key, default)
-    try:
-        return [kind(v) for v in _as_list(raw)] if many else kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"scenario key {key!r} has an invalid value: {raw!r}") from None
+    given = {}
+    for key, kind in kinds.items():
+        if key in config:
+            try:
+                given[key] = kind(config[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(
+                    f"scenario key {key!r} has an invalid value: {config[key]!r}"
+                ) from None
+    return given
+
+
+def _many(kind):
+    """Kind of a list of ``kind`` values, where a scalar is a one-item list."""
+    return lambda value: [kind(v) for v in (value if isinstance(value, list) else [value])]
+
+
+_ints, _floats = _many(int), _many(float)
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _study_file(args, study=None):
+    """The scenario file's config, the head of its result.json, and its base seed.
+
+    ``--reps`` and ``--seed`` win over the file's ``reps`` and ``seed``.
+    """
+    config = load_config(args.scenario)
+    study = str(config.get("study", "")).strip() if study is None else study
+    scenario_id = str(config.get("id", Path(args.scenario).stem))
+    reps = args.reps if args.reps is not None else _given(config, reps=int).get("reps", 200)
+    seed = args.seed if args.seed is not None else _given(config, seed=int).get("seed", 0)
+    head = {"id": scenario_id, "study": study, "reps": reps, "metadata": {
+        "generator": GENERATOR_ID,
+        "package": f"hdfactor {__version__}",
+        "base_seed": int(seed),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }}
+    return config, head, seed
 
 
 def _scenario_from_config(config: dict, seed) -> Scenario:
     _require(config, "n", "p", "r")
-    r = _read(config, "r", int)
-    deltas = _read(config, "deltas", float, 0.0, many=True)
-    if len(deltas) == 1:
-        deltas *= r
-    ar = _read(config, "ar_coeffs", float, 0.5, many=True)
-    if len(ar) == 1:
-        ar *= r
-    return Scenario(
-        n=_read(config, "n", int),
-        p=_read(config, "p", int),
-        r=r,
-        deltas=tuple(deltas),
-        ar_coeffs=tuple(ar),
-        noise_var=_read(config, "noise_var", float, 1.0),
-        k0=_read(config, "k0", int, 1),
-        loading_scheme=str(config.get("loading_scheme", "uniform-scaled")),
-        seed=int(seed),
-    )
+    given = _given(config, r=int, deltas=_floats, ar_coeffs=_floats, n=int, p=int,
+                   noise_var=float, k0=int, loading_scheme=str)
+    for key, default in (("deltas", [0.0]), ("ar_coeffs", [0.5])):
+        values = given.get(key, default)
+        given[key] = tuple(values * given["r"] if len(values) == 1 else values)
+    return Scenario(seed=int(seed), **given)
 
 
-def _p_coef(config: dict):
-    return None if config.get("p_coef") is None else _read(config, "p_coef", float)
+def _write_long_csv(path: Path, scenario_id: str, study, matrices: dict, labels=None) -> None:
+    """``matrices[n]`` of a size-grid study, one row per replication and column.
+
+    Columns are labelled by ``labels``, or by 1, 2, ... when omitted.
+    """
+    write_csv(path, ["scenario_id", "n", "p", "rep", "index", "value"],
+              ((scenario_id, n, study.p_of_n[n], rep, label, value)
+               for n in study.n_grid
+               for rep, row in enumerate(matrices[n])
+               for label, value in zip(labels or itertools.count(1), row)))
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.scenario)
-    study = str(config.get("study", "")).strip()
-    scenario_id = str(config.get("id", Path(args.scenario).stem))
-    reps = args.reps if args.reps is not None else _read(config, "reps", int, 200)
-    seed = args.seed if args.seed is not None else _read(config, "seed", int, 0)
-    out = _out_dir(args)
-    doc = {"id": scenario_id, "study": study, "reps": reps, "metadata": _metadata(seed)}
+    config, doc, seed = _study_file(args)
+    study, scenario_id, reps = doc["study"], doc["id"], doc["reps"]
 
     if study == "table1":
         _require(config, "n_grid", "p_rules")
-        cells = run_table1(
-            deltas=_read(config, "deltas", float, [0.0], many=True),
-            n_grid=_read(config, "n_grid", int, many=True),
-            p_rules=_read(config, "p_rules", float, many=True),
-            reps=reps,
-            base_seed=seed,
-            r=_read(config, "r", int, 3),
-            ar_coeffs=_read(config, "ar_coeffs", float, list(TABLE1_AR_COEFFS), many=True),
-            noise_var=_read(config, "noise_var", float, 1.0),
-            k0=_read(config, "k0", int, 1),
-        )
+        grid = _given(config, deltas=_floats, n_grid=_ints, p_rules=_floats,
+                      r=int, ar_coeffs=_floats, noise_var=float, k0=int)
+        grid.setdefault("deltas", [0.0])
+        cells = run_table1(reps=reps, base_seed=seed, **grid)
+        out = _out_dir(args)
         doc["cells"] = [
             {
                 "delta": delta, "n": n, "p": p, "p_rule": rule,
@@ -283,15 +290,11 @@ def cmd_simulate(args) -> int:
             print(f"delta={delta:g} n={n} p={p}: freq_correct={res.freq_correct:.3f}")
     elif study == "ratio-trace":
         scenario = _scenario_from_config(config, seed)
-        n_grid = _read(config, "n_grid", int, scenario.n, many=True)
-        result = ratio_trace_study(scenario, n_grid, reps, p_coef=_p_coef(config))
-        rows = []
-        for n in result.n_grid:
-            traces = result.traces[n]
-            for rep in range(traces.shape[0]):
-                for idx in range(traces.shape[1]):
-                    rows.append((scenario_id, n, result.p_of_n[n], rep, idx + 1, traces[rep, idx]))
-        write_csv(out / "traces.csv", ["scenario_id", "n", "p", "rep", "index", "value"], rows)
+        grid = _given(config, n_grid=_ints, p_coef=_optional_float)
+        result = ratio_trace_study(scenario, grid.get("n_grid", [scenario.n]), reps,
+                                   p_coef=grid.get("p_coef"))
+        out = _out_dir(args)
+        _write_long_csv(out / "traces.csv", scenario_id, result, result.traces)
         doc["median_ratios"] = {
             str(n): [float(v) for v in result.median_ratios[n]] for n in result.n_grid
         }
@@ -299,8 +302,8 @@ def cmd_simulate(args) -> int:
             med = result.median_ratios[n]
             print(f"n={n} p={result.p_of_n[n]}: median ratio argmin = {int(np.nanargmin(med)) + 1}")
     elif study == "two-step":
-        scenario = _scenario_from_config(config, seed)
-        result = two_step_study(scenario, reps)
+        result = two_step_study(_scenario_from_config(config, seed), reps)
+        out = _out_dir(args)
         doc["one_step_counts"] = {str(k): v for k, v in result.one_step_counts.items()}
         doc["pair_counts"] = {f"{r1}+{r2}": v for (r1, r2), v in result.pair_counts.items()}
         doc["freq_one_step"] = result.freq_one
@@ -317,39 +320,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    config = load_config(args.scenario)
-    scenario_id = str(config.get("id", Path(args.scenario).stem))
-    reps = args.reps if args.reps is not None else _read(config, "reps", int, 200)
-    seed = args.seed if args.seed is not None else _read(config, "seed", int, 0)
+    config, doc, seed = _study_file(args, "rates")
     config.setdefault("loading_scheme", "all-ones")
     config.setdefault("r", 1)
     config.setdefault("p", 10)
     scenario = _scenario_from_config(config, seed)
-    n_grid = _read(config, "n_grid", int, scenario.n, many=True)
-    tracked = _read(config, "tracked_j", int, [1, 2], many=True)
-    study = eigen_error_study(scenario, n_grid, tracked, reps, p_coef=_p_coef(config))
+    grid = _given(config, n_grid=_ints, tracked_j=_ints, p_coef=_optional_float)
+    study = eigen_error_study(scenario, grid.get("n_grid", [scenario.n]),
+                              grid.get("tracked_j", [1, 2]), doc["reps"],
+                              p_coef=grid.get("p_coef"))
     slopes = fit_error_slopes(study)
 
     out = _out_dir(args)
-    rows = []
-    for n in study.n_grid:
-        errors = study.errors[n]
-        for rep in range(errors.shape[0]):
-            for col, j in enumerate(study.tracked_j):
-                rows.append((scenario_id, n, study.p_of_n[n], rep, j, errors[rep, col]))
-    write_csv(out / "errors.csv", ["scenario_id", "n", "p", "rep", "index", "value"], rows)
+    _write_long_csv(out / "errors.csv", doc["id"], study, study.errors, study.tracked_j)
     write_csv(out / "slopes.csv", ["j", "slope", "ci_low", "ci_high"],
               [(fit.j, fit.slope, fit.ci_low, fit.ci_high) for fit in slopes])
-    dump_json(out / "result.json", {
-        "id": scenario_id,
-        "study": "rates",
-        "reps": reps,
-        "metadata": _metadata(seed),
-        "slopes": [
-            {"j": fit.j, "slope": fit.slope, "ci_low": fit.ci_low, "ci_high": fit.ci_high}
-            for fit in slopes
-        ],
-    })
+    doc["slopes"] = [
+        {"j": fit.j, "slope": fit.slope, "ci_low": fit.ci_low, "ci_high": fit.ci_high}
+        for fit in slopes
+    ]
+    dump_json(out / "result.json", doc)
     for fit in slopes:
         print(f"eigenvalue {fit.j}: slope={fit.slope:.3f} ci=[{fit.ci_low:.3f}, {fit.ci_high:.3f}]")
     return 0

@@ -303,7 +303,9 @@ def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
     replication of every cell is one job in one pool, so no cell waits at a
     barrier for the slowest replication of the cell before it.
     """
-    if cells and reps < 1:
+    if not cells:
+        raise DomainError("need at least one grid cell")
+    if reps < 1:
         raise DomainError("need at least one replication")
 
     def run(job):
@@ -313,9 +315,8 @@ def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
         return measure(scn, panel)
 
     jobs = list(itertools.product(cells, range(reps)))
-    if jobs:
-        workers = worker_count() if workers is None else max(1, int(workers))
-    if len(jobs) <= 1 or workers == 1:
+    workers = worker_count() if workers is None else max(1, int(workers))
+    if len(jobs) == 1 or workers == 1:
         results = [run(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -326,6 +327,31 @@ def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
 def _spectrum(reduce: Callable[[np.ndarray], object]):
     """Measure: ``reduce`` of the pooled spectrum of a replication's panel."""
     return lambda scn, panel: reduce(m_eigenvalues(panel.values, scn.k0))
+
+
+def _ratio(p: int, part: int):
+    """Reduction: ``part`` of the ratio estimate over dimension p's default span."""
+    span = default_ratio_span(p)
+    return lambda lam: ratio_estimate(lam, span)[part]
+
+
+def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float], reps: int,
+               workers: Optional[int], reduce_for: Callable[[int], Callable]):
+    """Replications of ``scenario`` at each sample size, stacked per n.
+
+    p is the scenario's own, or ``round(p_coef * n)`` when ``p_coef`` is
+    given.  ``reduce_for(p)`` builds the reduction of each replication's
+    pooled spectrum at that p, before any replication runs.  Returns
+    ``(n_grid, p_of_n, {n: one row per replication})``.
+    """
+    n_grid = tuple(int(n) for n in n_grid)
+    p_of_n, cells = {}, []
+    for n in n_grid:
+        p = p_of_n[n] = scenario.p if p_coef is None else int(round(p_coef * n))
+        reduce = reduce_for(p)  # its checks come before the cell's own
+        cells.append((replace(scenario, n=n, p=p), (n, p), _spectrum(reduce)))
+    rows = _replicate(cells, reps, workers)
+    return n_grid, p_of_n, {n: np.vstack(reps_at_n) for n, reps_at_n in zip(n_grid, rows)}
 
 
 def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McResult:
@@ -377,16 +403,10 @@ def run_table1(
                     k0=k0,
                     seed=base_seed,
                 )
-                span = default_ratio_span(p)
-                cells.append((cell, (_delta_code(delta), n, p),
-                              _spectrum(lambda lam, span=span: ratio_estimate(lam, span)[0])))
+                cells.append((cell, (_delta_code(delta), n, p), _spectrum(_ratio(p, 0))))
                 grid.append((float(delta), int(n), p, float(rule)))
     return [(*coords, _count_result(cell, reps, r_hats))
             for coords, (cell, _, _), r_hats in zip(grid, cells, _replicate(cells, reps, workers))]
-
-
-def _resolve_p(scenario: Scenario, n: int, p_coef: Optional[float]) -> int:
-    return scenario.p if p_coef is None else int(round(p_coef * n))
 
 
 @_single_thread_blas
@@ -417,27 +437,23 @@ def eigen_error_study(
     if min(tracked_j) < 1:
         raise DomainError(f"tracked index {min(tracked_j)} is below 1")
     tracked = [j - 1 for j in tracked_j]
-    p_of_n: dict = {}
-    population: dict = {}
-    cells = []
-    for n in n_grid:
-        p = _resolve_p(scenario, n, p_coef)
+    population_at_p: dict = {}
+
+    def errors_at(p):
         if max(tracked_j) > p:
             raise DomainError(f"tracked index {max(tracked_j)} exceeds dimension {p}")
-        cell = replace(scenario, n=int(n), p=p)
-        _, lam_pop = population_m(np.ones((p, scenario.r)), cell.ar_coeffs, cell.k0)
-        population[int(n)] = lam_pop[tracked]
-        cells.append((cell, (n, p),
-                      _spectrum(lambda lam, pop=population[int(n)]: lam[tracked] - pop)))
-        p_of_n[int(n)] = p
+        _, lam_pop = population_m(np.ones((p, scenario.r)), scenario.ar_coeffs, scenario.k0)
+        pop = population_at_p[p] = lam_pop[tracked]
+        return lambda lam: lam[tracked] - pop
+
+    n_grid, p_of_n, errors = _size_grid(scenario, n_grid, p_coef, reps, workers, errors_at)
     return EigenErrorStudy(
         scenario=scenario,
-        n_grid=tuple(int(n) for n in n_grid),
+        n_grid=n_grid,
         p_of_n=p_of_n,
         tracked_j=tracked_j,
-        errors={int(n): np.vstack(rows)
-                for n, rows in zip(n_grid, _replicate(cells, reps, workers))},
-        population=population,
+        errors=errors,
+        population={n: population_at_p[p] for n, p in p_of_n.items()},
     )
 
 
@@ -483,22 +499,14 @@ def ratio_trace_study(
     workers: Optional[int] = None,
 ) -> RatioTraceStudy:
     """Full eigenvalue-ratio sequences per replication over a size grid."""
-    p_of_n: dict = {}
-    cells = []
-    for n in n_grid:
-        p = _resolve_p(scenario, n, p_coef)
-        span = default_ratio_span(p)
-        cells.append((replace(scenario, n=int(n), p=p), (n, p),
-                      _spectrum(lambda lam, span=span: ratio_estimate(lam, span)[1])))
-        p_of_n[int(n)] = p
-    traces = {int(n): np.vstack(rows) for n, rows in zip(n_grid, _replicate(cells, reps, workers))}
-    medians = {n: np.nanmedian(trace, axis=0) for n, trace in traces.items()}
+    n_grid, p_of_n, traces = _size_grid(scenario, n_grid, p_coef, reps, workers,
+                                        lambda p: _ratio(p, 1))
     return RatioTraceStudy(
         scenario=scenario,
-        n_grid=tuple(int(n) for n in n_grid),
+        n_grid=n_grid,
         p_of_n=p_of_n,
         traces=traces,
-        median_ratios=medians,
+        median_ratios={n: np.nanmedian(trace, axis=0) for n, trace in traces.items()},
     )
 
 

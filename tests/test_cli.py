@@ -274,8 +274,10 @@ def test_simulate_ratio_trace_and_two_step(tmp_path):
 def test_simulate_unknown_study_exits_2(tmp_path):
     cfg = tmp_path / "odd.json"
     cfg.write_text(json.dumps({"study": "mystery"}))
-    proc = run_cli("simulate", "--scenario", cfg, "--out", tmp_path)
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", cfg, "--out", out)
     assert proc.returncode == 2
+    assert not out.exists()
 
 
 def test_simulate_table1_without_grid_exits_2(tmp_path):
@@ -304,10 +306,67 @@ def test_zero_replications_exit_1(tmp_path):
     rates = tmp_path / "rates.cfg"
     rates.write_text("n = 60\np = 10\nn_grid = 60, 80, 100\n")
     for command, cfg in (("simulate", trace), ("simulate", two), ("rates", rates)):
-        proc = run_cli(command, "--scenario", cfg, "--reps", 0, "--out", tmp_path)
+        out = tmp_path / f"{command}-{cfg.stem}"
+        proc = run_cli(command, "--scenario", cfg, "--reps", 0, "--out", out)
         assert proc.returncode == 1, cfg
         assert "need at least one replication" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+EMPTY_GRIDS = {
+    "table1-n-grid": {"study": "table1", "n_grid": [], "p_rules": [0.2]},
+    "table1-p-rules": {"study": "table1", "n_grid": [60], "p_rules": []},
+    "table1-deltas": {"study": "table1", "deltas": [], "n_grid": [60], "p_rules": [0.2]},
+    "ratio-trace": {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "n_grid": []},
+    "rates": {"study": "rates", "n": 60, "p": 10, "n_grid": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_GRIDS))
+def test_an_empty_grid_exits_1_and_leaves_no_output(tmp_path, name):
+    config = EMPTY_GRIDS[name]
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    command = "rates" if config["study"] == "rates" else "simulate"
+    proc = run_cli(command, "--scenario", cfg, "--reps", 2, "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == "hdfactor: error: need at least one grid cell\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_cli_passes_the_library_only_the_keys_a_scenario_sets(tmp_path, monkeypatch):
+    # Keys a scenario file leaves out take the library's defaults, so the
+    # CLI must not pass them on: that would restate each default.
+    from hdfactor import cli
+
+    received = []
+
+    def recorder(real):
+        def call(*args, **kwargs):
+            received.append((real.__name__, set(kwargs)))
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "run_table1", recorder(cli.run_table1))
+    monkeypatch.setattr(cli, "Scenario", recorder(cli.Scenario))
+    configs = {
+        "table1": {"study": "table1", "n_grid": [40], "p_rules": [0.2]},
+        "trace": {"study": "ratio-trace", "n": 40, "p": 8, "r": 1},
+    }
+    for name, config in configs.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--scenario", str(cfg), "--reps", "2",
+                         "--out", str(tmp_path / name)]) == 0
+    assert [name for name, _ in received] == ["run_table1", "Scenario"]
+    defaulted = {"r", "ar_coeffs", "noise_var", "k0", "loading_scheme"}
+    assert received[0][1] & defaulted == set()
+    # Scenario has no default for r or ar_coeffs: a scenario file must give r,
+    # and the CLI's own ar_coeffs fallback is 0.5.
+    assert received[1][1] & defaulted == {"r", "ar_coeffs"}
 
 
 def test_rates_smoke(tmp_path):
@@ -454,3 +513,64 @@ def test_byte_order_mark_does_not_change_the_fit(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "plain" / "model.json").read_bytes() == \
         (tmp_path / "bom" / "model.json").read_bytes()
+
+
+def _fingerprint(proc, out):
+    """sha256 of exit code, stdout, stderr and every output file but its timestamp line."""
+    digest = hashlib.sha256(repr((proc.returncode, proc.stdout, proc.stderr)).encode())
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        digest.update(path.name.encode())
+        digest.update(b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                               if b'"timestamp"' not in line))
+    return digest.hexdigest()
+
+
+# Digests of `simulate` and `rates` runs, computed before the CLI stopped
+# restating the library's scenario defaults; a run that changes any default,
+# seed coordinate, row order or message changes its digest.
+STUDY_RUNS = {
+    "table1-defaults": (
+        "simulate", {"study": "table1", "n_grid": [40, 60], "p_rules": [0.2, 0.5]},
+        "004a07cab635faeb7833c8375899a4331418a5e9a679b127654c9d6eb812c25b"),
+    "table1-every-key": (
+        "simulate", {"study": "table1", "deltas": [0.0, 0.5], "n_grid": [50], "p_rules": [0.3],
+                     "r": 2, "ar_coeffs": [0.5, -0.4], "noise_var": 0.5, "k0": 2},
+        "c6f48ab9a76836732b48290a03a574cf839316800145a9e684334259f7313ffb"),
+    "ratio-trace-p-coef-repeated-n": (
+        "simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "p_coef": 0.25,
+                     "n_grid": [60, 80, 60]},
+        "8d97d2f9cb1205d6f6e603e99bd07188b7982fe3882c07ec1054a9fe0a13a8f8"),
+    "two-step-uniform": (
+        "simulate", {"study": "two-step", "n": 100, "p": 20, "r": 3, "deltas": [0.0, 0.0, 0.5],
+                     "ar_coeffs": [0.6, -0.5, 0.3]},
+        "d473d053d29aca249a00e79d9122252dfba93990b4cfbf72aca3c6ab7447e276"),
+    "two-step-all-ones": (
+        "simulate", {"study": "two-step", "n": 80, "p": 12, "r": 1, "ar_coeffs": 0.7,
+                     "loading_scheme": "all-ones"},
+        "c3e0037aa734e7a6690e633515725f54301861090a7f882d0bbf0df19a725ab5"),
+    "rates": (
+        "rates", {"n": 100, "p": 10, "n_grid": [60, 80, 100]},
+        "81ec85c1b5a7f1a12ff0f4cffcce7bb81b21279abfafbe63a8c7e373a6680a69"),
+    "rates-p-coef": (
+        "rates", {"n": 100, "p": 10, "n_grid": [60, 80, 100], "p_coef": 0.1, "tracked_j": [1]},
+        "fb426405b9b8144f9f17cd5e2a377e4496d46d345e03fe1aeec3b9bd3a2807af"),
+    "rates-repeated-n": (
+        "rates", {"n": 100, "p": 10, "n_grid": [60, 80, 60, 100]},
+        "45435161005f28c8424dbe0a246383b9a15ac5b865d31cd94ca4e8d3473ab298"),
+    "null-noise-var": (
+        "simulate", {"study": "two-step", "n": 60, "p": 10, "r": 1, "noise_var": None},
+        "32715e99e676fe580831bb7ae321db775efe86b593e0a59a4ea5fed30aaf9fb9"),
+    "numeric-loading-scheme": (
+        "simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "loading_scheme": 5},
+        "ed9a24a3cfc28099bcea66c6023083020066e161378c0c462ce1870ce589a207"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_RUNS))
+def test_study_command_outputs_pin_their_bytes(tmp_path, name):
+    command, config, digest = STUDY_RUNS[name]
+    cfg = tmp_path / "case.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    proc = run_cli(command, "--scenario", cfg, "--reps", 3, "--seed", 5, "--out", out)
+    assert _fingerprint(proc, out) == digest, (proc.returncode, proc.stderr)

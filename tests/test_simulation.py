@@ -199,6 +199,24 @@ def test_run_table1_cells_do_not_depend_on_grid_shape():
     assert target[4].r_hat_counts == alone[0][4].r_hat_counts
 
 
+@pytest.mark.parametrize("study", [
+    lambda: run_table1([0.0], [], [0.2], reps=3, base_seed=1),
+    lambda: run_table1([0.0], [60], [], reps=3, base_seed=1),
+    lambda: run_table1([], [60], [0.2], reps=3, base_seed=1),
+    lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [], reps=3),
+    lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [], [1], reps=3),
+    lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [], [1], reps=0, p_coef=0.5),
+], ids=["table1-n-grid", "table1-p-rules", "table1-deltas", "ratio-trace", "eigen-error",
+        "eigen-error-zero-reps"])
+def test_an_empty_grid_raises_before_any_replication(monkeypatch, study):
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    with pytest.raises(DomainError, match="need at least one grid cell"):
+        study()
+
+
 # ---------------------------------------------------------------- error study
 
 def test_eigen_error_study_requires_deterministic_loadings():
