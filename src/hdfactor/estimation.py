@@ -224,16 +224,20 @@ def sym_eigen(m: np.ndarray) -> EigenSystem:
     return EigenSystem(eigenvalues=values, eigenvectors=vectors)
 
 
-def _span(values: np.ndarray):
+def _span(values: np.ndarray, basis: bool = True):
     """Basis and coordinates of the panel's column span.
 
     For p <= n the basis is the identity (``None``) and the coordinates are
     the panel itself.  For p > n they are the reduced QR ``values = Q R``,
-    with Q of shape p x n; QR needs no rank threshold, unlike an SVD.
+    with Q of shape p x n; QR needs no rank threshold, unlike an SVD.  With
+    ``basis`` false Q is not formed (``None``); R comes from the same
+    factorization, bit for bit.
     """
-    if values.shape[0] > values.shape[1]:
+    if values.shape[0] <= values.shape[1]:
+        return None, values
+    if basis:
         return np.linalg.qr(values)
-    return None, values
+    return None, np.linalg.qr(values, mode="r")
 
 
 def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vectors: bool = True):
@@ -332,12 +336,13 @@ def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False
     agree in exact arithmetic but not bitwise: their spectra differ by
     roundoff, within 1e-12 of the largest eigenvalue, and give the same
     factor count on a seeded Table-1 grid (pinned by the tests).  For p > n
-    the entries past n are exact zeros.  Like ``sym_eigen``, the solve
-    releases the interpreter lock, so replications in a thread pool
-    overlap their eigensolves.
+    the entries past n are exact zeros, and only the R of the panel's QR
+    is formed.  Like ``sym_eigen``, the solve releases the interpreter
+    lock, so replications in a thread pool overlap their eigensolves.
     """
     values = np.asarray(values, dtype=float)
-    return _pooled_eigen(_span(values)[1], values.shape[0], int(k0), window_centering, False)[0]
+    coords = _span(values, basis=False)[1]
+    return _pooled_eigen(coords, values.shape[0], int(k0), window_centering, False)[0]
 
 
 class _FirstPass(NamedTuple):

@@ -9,7 +9,9 @@ fixed here and CSV orientation is resolved at load time.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -137,6 +139,109 @@ def _is_numeric(text: str) -> bool:
         return False
 
 
+def _layout(first_row: Sequence[str], heads: Sequence[str], width: int, path):
+    """Header row and label column of a table, from its first row and each row's first cell.
+
+    A header row / label column is recognized only when wholly non-numeric;
+    a stray non-numeric cell inside otherwise numeric data is a parse error.
+    Returns ``(skip, first, row_labels, col_labels)``: the number of header
+    rows, the index of the first data column, and the labels or None.
+    """
+    skip = 0 if any(map(_is_numeric, first_row)) else 1
+    heads = heads[skip:]
+    if not heads:
+        raise DimensionError(f"no data rows in {path}")
+    first = 0 if any(map(_is_numeric, heads)) else 1
+    if first and width < 2:
+        raise DimensionError(f"no data columns in {path}")
+    col_labels = tuple(first_row[first:]) if skip else None
+    return skip, first, tuple(heads) if first else None, col_labels
+
+
+def _row_table(text: str, path):
+    """``(data, row_labels, col_labels)`` of a CSV text, read row by row with ``csv``."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]  # tolerate blank lines
+    if not rows:
+        raise DimensionError(f"empty table in {path}")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(
+                f"ragged row {i + 1}: expected {width} fields, got {len(row)}"
+            )
+    skip, first, row_labels, col_labels = _layout(rows[0], [row[0] for row in rows], width, path)
+    body = rows[skip:]
+    data = np.empty((len(body), width - first))
+    # A whole row per call, through the same float() as _parse_cell, so the
+    # bits match; the per-cell loop runs only to name the first bad cell.
+    try:
+        for i, row in enumerate(body):
+            data[i] = list(map(float, row[first:]))
+        clean = np.isfinite(data).all()
+    except ValueError:
+        clean = False
+    if not clean:
+        for i, row in enumerate(body):
+            for j, cell in enumerate(row[first:]):
+                data[i, j] = _parse_cell(cell, i + skip + 1, j + first + 1)
+    return data, row_labels, col_labels
+
+
+# numpy's reader skips \x1c-\x1f round a number as whitespace, where float()
+# rejects them, and a C string ends at \x00.
+_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
+_QUOTED = re.compile(r'"([^"]*)"')
+
+
+def _unquote(field: str) -> Optional[str]:
+    """``field`` as ``csv`` reads it, or None when its quotes might read otherwise."""
+    if '"' not in field:
+        return field
+    quoted = _QUOTED.fullmatch(field)
+    return quoted[1] if quoted else None
+
+
+def _bulk_table(text: str, path):
+    """``_row_table(text, path)``, with the numbers parsed by numpy's C reader; or None.
+
+    ``np.loadtxt`` parses a number with ``PyOS_string_to_double``, the parser
+    of ``float()``, so the bits agree.  This path takes a file only where it
+    splits rows and fields exactly as ``csv`` does: one comma-separated field
+    per cell, quotes only round a whole header or first-column field, no
+    field over ``csv``'s size limit, and every number finite.  It returns
+    None for anything else, and the row path then reads the file and names
+    the fault.
+    """
+    if any(char in text for char in _UNSAFE):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line]
+    if not lines:
+        return None
+    width = lines[0].count(",") + 1
+    limit = csv.field_size_limit()
+    for line in lines:
+        if line.count(",") + 1 != width or (
+                len(line) > limit and max(map(len, line.split(","))) > limit):
+            return None
+    first_row = [_unquote(field) for field in lines[0].split(",")]
+    parts = [line.partition(",") for line in lines]
+    heads = [_unquote(head) for head, _, _ in parts]
+    if None in first_row or None in heads:
+        return None
+    skip, first, row_labels, col_labels = _layout(first_row, heads, width, path)
+    numeric = [rest if first else head + comma + rest
+               for head, (_, comma, rest) in zip(heads[skip:], parts[skip:])]
+    try:
+        data = np.loadtxt(numeric, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(numeric), width - first) or not np.isfinite(data).all():
+        return None
+    return data, row_labels, col_labels
+
+
 def load_csv(path, orientation: str = "rows-are-time") -> Panel:
     """Read a rectangular numeric CSV into a Panel.
 
@@ -157,50 +262,10 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         try:
-            rows = list(csv.reader(handle))
+            text = handle.read()
         except UnicodeDecodeError:
             raise decode_error(path) from None
-    rows = [row for row in rows if row]  # tolerate blank trailing lines
-    if not rows:
-        raise DimensionError(f"empty table in {path}")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"ragged row {i + 1}: expected {width} fields, got {len(row)}"
-            )
-
-    # A header row / label column is recognized only when wholly non-numeric;
-    # a stray non-numeric cell inside otherwise numeric data is a parse error.
-    has_header = all(not _is_numeric(cell) for cell in rows[0])
-    body = rows[1:] if has_header else rows
-    if not body:
-        raise DimensionError(f"no data rows in {path}")
-    has_label_col = all(not _is_numeric(row[0]) for row in body)
-    if has_label_col and width < 2:
-        raise DimensionError(f"no data columns in {path}")
-
-    first = 1 if has_label_col else 0
-    data = np.empty((len(body), width - first))
-    # A whole row per call, through the same float() as _parse_cell, so the
-    # bits match; the per-cell loop runs only to name the first bad cell.
-    try:
-        for i, row in enumerate(body):
-            data[i] = list(map(float, row[first:]))
-        clean = np.isfinite(data).all()
-    except ValueError:
-        clean = False
-    if not clean:
-        row_offset = 2 if has_header else 1
-        for i, row in enumerate(body):
-            for j, cell in enumerate(row[first:]):
-                data[i, j] = _parse_cell(cell, i + row_offset, j + first + 1)
-
-    row_labels = tuple(row[0] for row in body) if has_label_col else None
-    col_labels = None
-    if has_header:
-        col_labels = tuple(rows[0][1:] if has_label_col else rows[0])
-
+    data, row_labels, col_labels = _bulk_table(text, path) or _row_table(text, path)
     if orientation == "rows-are-time":
         return Panel(data.T, series_labels=col_labels, time_labels=row_labels)
     return Panel(data, series_labels=row_labels, time_labels=col_labels)
@@ -230,13 +295,23 @@ def write_matrix_csv(path, matrix: np.ndarray, row_labels: Optional[Sequence[str
         if row_labels is not None:
             header = [""] + header
         lines.append(",".join(header))
-    for i in range(matrix.shape[0]):
-        cells = [format(v, ".17g") for v in matrix[i]]
-        if row_labels is not None:
-            cells = [row_labels[i]] + cells
-        lines.append(",".join(cells))
+    for i, row in enumerate(matrix.tolist()):
+        cells = format_floats(row)
+        if row_labels is not None:  # a row with no values is its label alone
+            cells = ",".join([row_labels[i], cells]) if row else row_labels[i]
+        lines.append(cells)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def format_floats(values: Sequence[float], sep: str = ",") -> str:
+    """``values`` joined by ``sep``, each to 17 significant digits, in one %-format.
+
+    ``"%.17g" % v`` is ``format(v, ".17g")`` for every float, so NaN and
+    infinities read ``nan``, ``inf`` and ``-inf``.
+    """
+    values = tuple(values)
+    return sep.join(["%.17g"] * len(values)) % values
 
 
 def center(panel: Panel) -> Panel:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
-from .panel import decode_error
+from .panel import decode_error, format_floats
 
 __all__ = [
     "fmt_float",
@@ -90,14 +90,12 @@ def _write_json(write, obj, pad: str) -> None:
         write("\n" + pad + "}")
     elif isinstance(obj, (list, tuple)):
         write("[\n" + inner)
-        if all(type(v) is float for v in obj):
+        if set(map(type, obj)) == {float}:
             # Loadings and factor series: one %-format and one write per chunk
-            # of floats, never the whole list as one string.  "%.17g" is
-            # format(v, ".17g"); it writes NaN and +-inf as nan, inf and
-            # -inf, the only items that can hold an "n".
+            # of floats, never the whole list as one string.  NaN and +-inf
+            # come out as nan, inf and -inf, the only items that can hold an "n".
             for start in range(0, len(obj), _FLOAT_CHUNK):
-                chunk = tuple(obj[start:start + _FLOAT_CHUNK])
-                piece = sep.join(["%.17g"] * len(chunk)) % chunk
+                piece = format_floats(obj[start:start + _FLOAT_CHUNK], sep)
                 if "n" in piece:
                     piece = sep.join("null" if "n" in item else item for item in piece.split(sep))
                 write((sep if start else "") + piece)

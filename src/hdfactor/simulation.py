@@ -341,10 +341,14 @@ def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float
 
     p is the scenario's own, or ``round(p_coef * n)`` when ``p_coef`` is
     given.  ``reduce_for(p)`` builds the reduction of each replication's
-    pooled spectrum at that p, before any replication runs.  Returns
+    pooled spectrum at that p, before any replication runs.  A repeated n
+    is a DomainError, since it would run and count that n twice.  Returns
     ``(n_grid, p_of_n, {n: one row per replication})``.
     """
     n_grid = tuple(int(n) for n in n_grid)
+    repeated = [n for n, count in Counter(n_grid).items() if count > 1]
+    if repeated:
+        raise DomainError(f"n_grid repeats n = {repeated[0]}")
     p_of_n, cells = {}, []
     for n in n_grid:
         p = p_of_n[n] = scenario.p if p_coef is None else int(round(p_coef * n))

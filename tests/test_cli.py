@@ -337,6 +337,21 @@ def test_an_empty_grid_exits_1_and_leaves_no_output(tmp_path, name):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command, config", [
+    ("rates", {"n": 100, "p": 10, "n_grid": [60, 80, 60, 100]}),
+    ("simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "n_grid": [80, 60, 80]}),
+], ids=["rates", "ratio-trace"])
+def test_a_repeated_n_exits_1_and_leaves_no_output(tmp_path, command, config):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    proc = run_cli(command, "--scenario", cfg, "--reps", 2, "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == f"hdfactor: error: n_grid repeats n = {config['n_grid'][0]}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
 def test_cli_passes_the_library_only_the_keys_a_scenario_sets(tmp_path, monkeypatch):
     # Keys a scenario file leaves out take the library's defaults, so the
     # CLI must not pass them on: that would restate each default.
@@ -466,6 +481,27 @@ def test_wide_panel_model_json_bytes_are_pinned(tmp_path):
         assert hashlib.sha256((out / "model.json").read_bytes()).hexdigest() == digest
 
 
+
+# sha256 of every file `estimate --dump-loadings --dump-factors` writes for
+# the panel above, computed while the CSV writer still formatted each value
+# on its own.
+DUMP_SHA256 = {
+    "eigenvalues.csv": "910d94e65e34ae0be3f35ceaf935d5780766e4f2c19e381e8e387aa9e80d049c",
+    "factors.csv": "7b243ac73496879272d4c190a8df0f6cb81d58a7ed5f9ba65b3eb513fef00686",
+    "loadings.csv": "ba52ac00b879b9982c793ead93b2b3685e7a203a40a3eb66307231235b7ed5b8",
+    "model.json": MODEL_JSON_SHA256["estimate"],
+    "ratios.csv": "567d8350d1e5fdcc10d444e57e1c462eae191ad257f460fff4b1ccc6144322cb",
+}
+
+
+def test_dumped_matrices_bytes_are_pinned(tmp_path):
+    path, _ = write_panel_csv(tmp_path, n=40, p=100, seed=8)
+    out = tmp_path / "out"
+    proc = run_cli("estimate", path, "--dump-loadings", "--dump-factors", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == DUMP_SHA256
+
 def test_bad_cells_exit_2_with_their_messages(tmp_path):
     cases = {
         "1,2,3\n4,5,6\n7,8,x\n": "non-numeric cell 'x' at row 3, column 3",
@@ -527,7 +563,9 @@ def _fingerprint(proc, out):
 
 # Digests of `simulate` and `rates` runs, computed before the CLI stopped
 # restating the library's scenario defaults; a run that changes any default,
-# seed coordinate, row order or message changes its digest.
+# seed coordinate, row order or message changes its digest.  The two
+# repeated-n cases pin their exit 1 (a repeated n used to run twice and be
+# counted twice); "ratio-trace-p-coef" was computed before that check.
 STUDY_RUNS = {
     "table1-defaults": (
         "simulate", {"study": "table1", "n_grid": [40, 60], "p_rules": [0.2, 0.5]},
@@ -536,10 +574,14 @@ STUDY_RUNS = {
         "simulate", {"study": "table1", "deltas": [0.0, 0.5], "n_grid": [50], "p_rules": [0.3],
                      "r": 2, "ar_coeffs": [0.5, -0.4], "noise_var": 0.5, "k0": 2},
         "c6f48ab9a76836732b48290a03a574cf839316800145a9e684334259f7313ffb"),
+    "ratio-trace-p-coef": (
+        "simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "p_coef": 0.25,
+                     "n_grid": [60, 80]},
+        "d19a41359cf6a556eb86a06c2f957fd642374ed7669e2febe68842314ffef457"),
     "ratio-trace-p-coef-repeated-n": (
         "simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "p_coef": 0.25,
                      "n_grid": [60, 80, 60]},
-        "8d97d2f9cb1205d6f6e603e99bd07188b7982fe3882c07ec1054a9fe0a13a8f8"),
+        "8274de67663eade4eb713f259a8f96969d8420ed400f1794059c15ad66fa6c1b"),
     "two-step-uniform": (
         "simulate", {"study": "two-step", "n": 100, "p": 20, "r": 3, "deltas": [0.0, 0.0, 0.5],
                      "ar_coeffs": [0.6, -0.5, 0.3]},
@@ -556,7 +598,7 @@ STUDY_RUNS = {
         "fb426405b9b8144f9f17cd5e2a377e4496d46d345e03fe1aeec3b9bd3a2807af"),
     "rates-repeated-n": (
         "rates", {"n": 100, "p": 10, "n_grid": [60, 80, 60, 100]},
-        "45435161005f28c8424dbe0a246383b9a15ac5b865d31cd94ca4e8d3473ab298"),
+        "8274de67663eade4eb713f259a8f96969d8420ed400f1794059c15ad66fa6c1b"),
     "null-noise-var": (
         "simulate", {"study": "two-step", "n": 60, "p": 10, "r": 1, "noise_var": None},
         "32715e99e676fe580831bb7ae321db775efe86b593e0a59a4ea5fed30aaf9fb9"),

@@ -21,7 +21,7 @@ from hdfactor import (
     sym_eigen,
     two_step_estimate,
 )
-from hdfactor import _openblas
+from hdfactor import _openblas, estimation
 from helpers import (
     assert_second_pass_matches_dense_reference,
     dense_reference,
@@ -347,6 +347,15 @@ def test_estimate_narrow_panel_is_bit_identical_to_dense_reference(n, p, k0, wc)
     fast = m_eigenvalues(panel.values, k0, window_centering=wc)
     assert np.array_equal(fast, np.linalg.eigvalsh(pooled)[::-1])
 
+
+@pytest.mark.parametrize("n, p", [(50, 80), (200, 300), (40, 41), (200, 2000)])
+def test_wide_spectrum_is_bit_identical_to_the_full_qr_one(n, p):
+    # m_eigenvalues takes R alone from the QR; the fits form Q and R.  R keeps its bits.
+    panel, _ = generate(table1_scenario(n, p, seed=n + p))
+    _, r = np.linalg.qr(panel.values)
+    for k0, wc in ((1, False), (3, True)):
+        expected = estimation._pooled_eigen(r, p, k0, wc, False)[0]
+        assert np.array_equal(m_eigenvalues(panel.values, k0, window_centering=wc), expected)
 
 @pytest.mark.parametrize("n, p, k0, wc, r1", [
     case + (r1,) for case in kernel_cases([(30, 80), (50, 120)]) for r1 in (1, 2, 3)

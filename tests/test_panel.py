@@ -1,7 +1,11 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hdfactor import panel as panel_module
 from hdfactor import (
     DimensionError,
     DomainError,
@@ -13,6 +17,11 @@ from hdfactor import (
     save_csv,
     seasonal_demean,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the "test" extra is missing: only the property test skips
+    st = None
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -246,3 +255,129 @@ def test_load_csv_rejects_non_utf8_with_file_and_offset(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + body + b"3,\xe9\n")
     with pytest.raises(ParseError, match=f"byte 0xe9 at offset {3 + len(body) + 2}$"):
         load_csv(path)
+
+
+# sha256 of save_csv's output, computed while it formatted each value on its own.
+SAVE_CSV_SHA256 = {
+    ("rows-are-time", False): "e5b034545714f5860f8585e827940236dc3502cf0a6ee48de48eee74c65b554e",
+    ("rows-are-series", False): "ae593877e4b0fe56d7bbaac0c3a7f21441d83d74a44b0f120d1628723c7dacdf",
+    ("rows-are-time", True): "4980ec92ca1c45fe60118301ba7c4f1e94a738c03a78c0c9293fd4c85719d51d",
+    ("rows-are-series", True): "e36975a17423a99df3cbc1694f4fdcf6344f6f0cfecef09c18cf9a57a958dbda",
+}
+
+
+@pytest.mark.parametrize("orientation, labelled", sorted(SAVE_CSV_SHA256))
+def test_save_csv_bytes_are_pinned(tmp_path, orientation, labelled):
+    values = [[-0.0, 5e-324, 1e16, 1e-5, 0.1], [0.1, 1e-5, 1e16, 5e-324, -0.0]]
+    panel = Panel(values, series_labels=["a", "b"] if labelled else None,
+                  time_labels=[f"t{i}" for i in range(5)] if labelled else None)
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, orientation)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVE_CSV_SHA256[orientation, labelled]
+
+
+def _outcome(path, orientation="rows-are-series"):
+    """What load_csv makes of a file: the panel's bits and labels, or its exception."""
+    try:
+        panel = load_csv(path, orientation)
+    except Exception as exc:  # csv.Error included: both paths must raise the same
+        return type(exc), str(exc)
+    return panel.values.shape, panel.values.tobytes(), panel.series_labels, panel.time_labels
+
+
+def _row_path_outcome(path, orientation="rows-are-series"):
+    with mock.patch.object(panel_module, "_bulk_table", return_value=None):
+        return _outcome(path, orientation)
+
+
+@pytest.mark.parametrize("text, bulk", [
+    ("1,2\n3,4\n", True),
+    ("1,2\r\n3,4\r\n", True),
+    ("1,2\r3,4", True),
+    ("\n1,2\n\n3,4\n\n", True),
+    ("1\n2\n3\n", True),
+    ("d,a,b\nt1, 1 ,2e3\nt2,-0,.5\n", True),
+    ('"","a","b"\n"t1",1,2\n"t2",3,4\n', True),  # R's write.csv, named rows
+    ('"","a","b"\n"1",1,2\n"2",3,4\n', True),    # R's row numbers, read as data
+    ('1,"2"\n3,4\n', False),                     # a quoted number past the first column
+    ('"a,b",c\n1,2\n3,4\n', False),
+    ('a,b\n"t""1",1\n"t2",3\n', False),
+    ("1,1_000\n3,4\n", False),
+    ("1,2\x1c\n3,4\n", False),
+    ("1,nan\n3,4\n", False),
+    ("1,2\n3\n", False),
+    ("1,2\n  \n3,4\n", False),
+    ("1\n \n3\n", False),
+    ("d,a\nt1,\nt2,3\nt3,4\n", False),             # numpy skips the empty line ""
+])
+def test_load_csv_takes_the_bulk_path_only_where_it_reads_as_csv_does(tmp_path, text, bulk):
+    path = write(tmp_path, text)
+    assert (panel_module._bulk_table(text, path) is not None) == bulk
+    assert _outcome(path) == _row_path_outcome(path)
+
+
+def test_load_csv_leaves_an_overlong_field_to_csv(tmp_path):
+    path = write(tmp_path, "0" * 140_000 + ",1\n2,3\n")
+    text = path.read_text()
+    assert panel_module._bulk_table(text, path) is None
+    assert _outcome(path) == _row_path_outcome(path)
+
+
+if st is None:
+    def test_load_csv_bulk_path_agrees_with_the_row_path():
+        pytest.skip("needs hypothesis, from the test extra")
+else:
+    _NUMBER_FORMS = [repr, "{:.17g}".format, "{:.3g}".format, "{:.6e}".format]
+    _ODD_NUMBERS = ["+1.5", ".5", "5.", "-0", " 2.5 ", "\t3\t", "4.9e-324", "1e400", "1e999",
+                    "nan", "-Infinity", "inf", "1_000", "", "  ", "x", "1\x1c", "\x1f2", "\x00",
+                    "\u0663", "1\u0663", "1\u2003", "\xa07", "0x10", "1e", '"7"', ' "7"', '"7" ',
+                    '"1""2"', '"8,9"', '"3\n4"', "\ufeff1"]
+    _ODD_LABELS = ['"a""b"', ' "a"', '"a" ', '"a,b"', '"a\nb"', '"a\rb"', '"', 'a"b', '"1"',
+                   '""', "1", "\x1c", "a\x00"]
+    _CLEAN_LABELS = st.text("ab -1", max_size=4)
+    _MESSY_LABELS = st.one_of(st.sampled_from(_ODD_LABELS),
+                              st.text('ab1 ."\',\r\n\x1c', max_size=4))
+    _RARELY = st.integers(0, 3).map(lambda k: k == 0)  # one file in four
+
+    @st.composite
+    def _csv_files(draw):
+        """CSV text: numbers in many spellings, labels, quotes and line ends."""
+        cols, rows = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+        header, labelled, odd = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+        messy, ragged, padded = (draw(_RARELY) for _ in range(3))
+        number = st.builds(lambda form, v: form(v), st.sampled_from(_NUMBER_FORMS),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        label = st.one_of(_CLEAN_LABELS, _CLEAN_LABELS.map('"{}"'.format))
+        body = []
+        for _ in range(rows):
+            width = cols + (draw(st.sampled_from([-1, 0, 0, 0, 1])) if ragged else 0)
+            body.append(draw(st.lists(number, min_size=width, max_size=width)))
+        cells = [(i, j) for i, row in enumerate(body) for j in range(len(row))]
+        if odd and cells:  # one odd cell or label, so that nothing else in the file hides it
+            i, j = draw(st.sampled_from(cells))
+            body[i][j] = draw(st.sampled_from(_ODD_NUMBERS))
+        lines = [([draw(label)] if labelled else []) + row for row in body]
+        if header:
+            lines.insert(0, ([draw(label)] if labelled else [])
+                         + draw(st.lists(label, min_size=cols, max_size=cols)))
+        spots = [(0, j) for j in range(len(lines[0]))] if header else []
+        spots += [(i, 0) for i in range(header, len(lines))] if labelled else []
+        if messy and spots:
+            i, j = draw(st.sampled_from(spots))
+            lines[i][j] = draw(_MESSY_LABELS)
+        text = [",".join(line) for line in lines]
+        for _ in range(draw(st.integers(0, 2))):
+            blank = st.sampled_from(["", " ", "\t"] if padded else [""])
+            text.insert(draw(st.integers(0, len(text))), draw(blank))
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in text]
+        if ends and draw(st.booleans()):
+            ends[-1] = ""  # no final line end
+        bom = "\ufeff" if draw(st.booleans()) else ""
+        return bom + "".join(line + end for line, end in zip(text, ends))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(text=_csv_files(), orientation=st.sampled_from(["rows-are-time", "rows-are-series"]))
+    def test_load_csv_bulk_path_agrees_with_the_row_path(tmp_path_factory, text, orientation):
+        path = tmp_path_factory.getbasetemp() / "bulk-or-rows.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(path, orientation) == _row_path_outcome(path, orientation)

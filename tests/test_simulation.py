@@ -217,6 +217,23 @@ def test_an_empty_grid_raises_before_any_replication(monkeypatch, study):
         study()
 
 
+
+@pytest.mark.parametrize("study", [
+    lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [60, 80, 60], reps=3),
+    lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [80, 60, 80], reps=3, p_coef=0.25),
+    lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 60, 100], [1], reps=3),
+    lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 60], [1], reps=0, p_coef=0.5),
+], ids=["ratio-trace", "ratio-trace-p-coef", "eigen-error", "eigen-error-zero-reps"])
+def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
+    # A repeated n would run its replications twice and enter a slope fit twice.
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    with pytest.raises(DomainError, match=r"^n_grid repeats n = (60|80)$"):
+        study()
+
+
 # ---------------------------------------------------------------- error study
 
 def test_eigen_error_study_requires_deterministic_loadings():
