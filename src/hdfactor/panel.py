@@ -114,22 +114,27 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
-def decode_error(path) -> ParseError:
-    """ParseError for a text file that is not UTF-8, naming its first bad byte.
+def read_text(path) -> str:
+    """A UTF-8 text file, less any byte-order mark, with its line ends as written.
 
+    A file that is not UTF-8 is a ParseError naming its first bad byte.
     Text readers decode in chunks and skip a byte-order mark, so the offset
-    in their ``UnicodeDecodeError`` is not a file offset; the file is read
-    again here as bytes to find one.
+    in their ``UnicodeDecodeError`` is not a file offset; on that failure
+    the file is read again as bytes to find one.
     """
-    with open(path, "rb") as handle:
-        raw = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            raw = handle.read()
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return ParseError(
+        raise ParseError(
             f"{path} is not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
-        )
-    return ParseError(f"{path} is not UTF-8 text")
+        ) from None
+    raise ParseError(f"{path} is not UTF-8 text")
 
 
 def _is_numeric(text: str) -> bool:
@@ -159,18 +164,28 @@ def _layout(first_row: Sequence[str], heads: Sequence[str], width: int, path):
 
 
 def _row_table(text: str, path):
-    """``(data, row_labels, col_labels)`` of a CSV text, read row by row with ``csv``."""
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]  # tolerate blank lines
+    """``(data, row_labels, col_labels)`` of a CSV text, read row by row with ``csv``.
+
+    Messages name a row by the file line it starts on; a ``csv`` fault is a ParseError too.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, lines, start = [], [], 1
+    try:
+        for row in reader:
+            if row:  # tolerate blank lines
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise DimensionError(f"empty table in {path}")
     width = len(rows[0])
-    for i, row in enumerate(rows):
+    for row, line in zip(rows, lines):
         if len(row) != width:
-            raise ParseError(
-                f"ragged row {i + 1}: expected {width} fields, got {len(row)}"
-            )
+            raise ParseError(f"ragged row {line}: expected {width} fields, got {len(row)}")
     skip, first, row_labels, col_labels = _layout(rows[0], [row[0] for row in rows], width, path)
-    body = rows[skip:]
+    body, lines = rows[skip:], lines[skip:]
     data = np.empty((len(body), width - first))
     # A whole row per call, through the same float() as _parse_cell, so the
     # bits match; the per-cell loop runs only to name the first bad cell.
@@ -181,9 +196,9 @@ def _row_table(text: str, path):
     except ValueError:
         clean = False
     if not clean:
-        for i, row in enumerate(body):
+        for i, (row, line) in enumerate(zip(body, lines)):
             for j, cell in enumerate(row[first:]):
-                data[i, j] = _parse_cell(cell, i + skip + 1, j + first + 1)
+                data[i, j] = _parse_cell(cell, line, j + first + 1)
     return data, row_labels, col_labels
 
 
@@ -246,8 +261,8 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
     """Read a rectangular numeric CSV into a Panel.
 
     The file may carry a single header row and/or a single leading label
-    column; both are detected by non-numeric content.  Cell coordinates in
-    error messages are 1-based positions in the file.
+    column; both are detected by non-numeric content.  Error messages name
+    a cell by the file line its row starts on and its 1-based column.
 
     Parameters
     ----------
@@ -260,11 +275,7 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
     """
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            raise decode_error(path) from None
+    text = read_text(path)
     data, row_labels, col_labels = _bulk_table(text, path) or _row_table(text, path)
     if orientation == "rows-are-time":
         return Panel(data.T, series_labels=col_labels, time_labels=row_labels)

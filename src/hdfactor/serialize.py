@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
-from .panel import decode_error, format_floats
+from .panel import format_floats, read_text
 
 __all__ = [
     "fmt_float",
@@ -189,11 +189,7 @@ def load_config(path) -> dict:
     become lists.  Scalars are coerced to bool, int or float when they
     parse as such.
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:
-            raise decode_error(path) from None
+    text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -294,14 +294,14 @@ def generate(scenario: Scenario):
     return panel, SimulationTruth(loadings=loadings, factors=factors, noise=noise)
 
 
-def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
+def _replicate(cells: list, reps: int, workers: Optional[int], measure: Callable) -> list:
     """``reps`` measured replications of every cell, one result list per cell.
 
-    Each cell is a ``(scenario, coords, measure)`` triple.  Replication
-    ``rep`` draws its panel from the seed derived from the scenario's seed,
-    ``coords`` and ``rep``, and returns ``measure(scn, panel)``.  Every
-    replication of every cell is one job in one pool, so no cell waits at a
-    barrier for the slowest replication of the cell before it.
+    Each cell is a ``(scenario, coords)`` pair.  Replication ``rep`` draws
+    its panel from the seed derived from the scenario's seed, ``coords`` and
+    ``rep``, and returns ``measure(scn, panel)``.  Every replication of
+    every cell is one job in one pool, so no cell waits at a barrier for the
+    slowest replication of the cell before it.
     """
     if not cells:
         raise DomainError("need at least one grid cell")
@@ -309,7 +309,7 @@ def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
         raise DomainError("need at least one replication")
 
     def run(job):
-        (scenario, coords, measure), rep = job
+        (scenario, coords), rep = job
         scn = replace(scenario, seed=derive_seed(scenario.seed, *coords, rep))
         panel, _ = generate(scn)
         return measure(scn, panel)
@@ -324,38 +324,41 @@ def _replicate(cells: list, reps: int, workers: Optional[int]) -> list:
     return [results[i * reps:(i + 1) * reps] for i in range(len(cells))]
 
 
-def _spectrum(reduce: Callable[[np.ndarray], object]):
-    """Measure: ``reduce`` of the pooled spectrum of a replication's panel."""
-    return lambda scn, panel: reduce(m_eigenvalues(panel.values, scn.k0))
+def _spectrum(scn: Scenario, panel: Panel) -> np.ndarray:
+    """Measure: the pooled spectrum of a replication's panel."""
+    return m_eigenvalues(panel.values, scn.k0)
 
 
-def _ratio(p: int, part: int):
-    """Reduction: ``part`` of the ratio estimate over dimension p's default span."""
-    span = default_ratio_span(p)
-    return lambda lam: ratio_estimate(lam, span)[part]
+def _ratio_count(scn: Scenario, panel: Panel) -> int:
+    """Measure: the ratio estimate of the factor count over the default span."""
+    return ratio_estimate(_spectrum(scn, panel), default_ratio_span(scn.p))[0]
 
 
-def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float], reps: int,
-               workers: Optional[int], reduce_for: Callable[[int], Callable]):
-    """Replications of ``scenario`` at each sample size, stacked per n.
+def _ratio_trace(scn: Scenario, panel: Panel) -> np.ndarray:
+    """Measure: the eigenvalue-ratio sequence over the default span."""
+    return ratio_estimate(_spectrum(scn, panel), default_ratio_span(scn.p))[1]
+
+
+def _two_step_counts(scn: Scenario, panel: Panel) -> tuple:
+    """Measure: a two-step fit's ``(r1_hat, r2_hat, second pass has a sharp minimum)``."""
+    fit = two_step_estimate(panel, scn.k0)
+    return fit.r1_hat, fit.r2_hat, not fit.step2_no_sharp_minimum
+
+
+def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float]):
+    """The cells of ``scenario`` at each sample size of ``n_grid``.
 
     p is the scenario's own, or ``round(p_coef * n)`` when ``p_coef`` is
-    given.  ``reduce_for(p)`` builds the reduction of each replication's
-    pooled spectrum at that p, before any replication runs.  A repeated n
-    is a DomainError, since it would run and count that n twice.  Returns
-    ``(n_grid, p_of_n, {n: one row per replication})``.
+    given.  A repeated n is a DomainError, since it would run and count
+    that n twice.  Returns ``(n_grid, p_of_n, cells)``, the cells in
+    ``_replicate``'s form.
     """
     n_grid = tuple(int(n) for n in n_grid)
     repeated = [n for n, count in Counter(n_grid).items() if count > 1]
     if repeated:
         raise DomainError(f"n_grid repeats n = {repeated[0]}")
-    p_of_n, cells = {}, []
-    for n in n_grid:
-        p = p_of_n[n] = scenario.p if p_coef is None else int(round(p_coef * n))
-        reduce = reduce_for(p)  # its checks come before the cell's own
-        cells.append((replace(scenario, n=n, p=p), (n, p), _spectrum(reduce)))
-    rows = _replicate(cells, reps, workers)
-    return n_grid, p_of_n, {n: np.vstack(reps_at_n) for n, reps_at_n in zip(n_grid, rows)}
+    p_of_n = {n: scenario.p if p_coef is None else int(round(p_coef * n)) for n in n_grid}
+    return n_grid, p_of_n, [(replace(scenario, n=n, p=p), (n, p)) for n, p in p_of_n.items()]
 
 
 def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McResult:
@@ -378,8 +381,8 @@ def run_table1(
     *,
     r: int = 3,
     ar_coeffs: Sequence[float] = TABLE1_AR_COEFFS,
-    noise_var: float = 1.0,
-    k0: int = 1,
+    noise_var: float = Scenario.noise_var,
+    k0: int = Scenario.k0,
     workers: Optional[int] = None,
 ) -> list:
     """Frequency grid of correct factor counts over (delta, n, p-rule) cells.
@@ -392,25 +395,14 @@ def run_table1(
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    cells, grid = [], []
-    for delta in deltas:
-        for n in n_grid:
-            for rule in p_rules:
-                p = int(round(rule * n))
-                cell = Scenario(
-                    n=n,
-                    p=p,
-                    r=r,
-                    deltas=(float(delta),) * r,
-                    ar_coeffs=tuple(ar_coeffs),
-                    noise_var=noise_var,
-                    k0=k0,
-                    seed=base_seed,
-                )
-                cells.append((cell, (_delta_code(delta), n, p), _spectrum(_ratio(p, 0))))
-                grid.append((float(delta), int(n), p, float(rule)))
+    grid = [(float(delta), int(n), int(round(rule * n)), float(rule))
+            for delta, n, rule in itertools.product(deltas, n_grid, p_rules)]
+    cells = [(Scenario(n=n, p=p, r=r, deltas=(delta,) * r, ar_coeffs=ar_coeffs,
+                       noise_var=noise_var, k0=k0, seed=base_seed), (_delta_code(delta), n, p))
+             for delta, n, p, _ in grid]
+    r_hats_by_cell = _replicate(cells, reps, workers, _ratio_count)
     return [(*coords, _count_result(cell, reps, r_hats))
-            for coords, (cell, _, _), r_hats in zip(grid, cells, _replicate(cells, reps, workers))]
+            for coords, (cell, _), r_hats in zip(grid, cells, r_hats_by_cell)]
 
 
 @_single_thread_blas
@@ -441,23 +433,21 @@ def eigen_error_study(
     if min(tracked_j) < 1:
         raise DomainError(f"tracked index {min(tracked_j)} is below 1")
     tracked = [j - 1 for j in tracked_j]
-    population_at_p: dict = {}
-
-    def errors_at(p):
-        if max(tracked_j) > p:
-            raise DomainError(f"tracked index {max(tracked_j)} exceeds dimension {p}")
-        _, lam_pop = population_m(np.ones((p, scenario.r)), scenario.ar_coeffs, scenario.k0)
-        pop = population_at_p[p] = lam_pop[tracked]
-        return lambda lam: lam[tracked] - pop
-
-    n_grid, p_of_n, errors = _size_grid(scenario, n_grid, p_coef, reps, workers, errors_at)
+    n_grid, p_of_n, cells = _size_grid(scenario, n_grid, p_coef)
+    too_small = [p for p in p_of_n.values() if p < max(tracked_j)]
+    if too_small:
+        raise DomainError(f"tracked index {max(tracked_j)} exceeds dimension {too_small[0]}")
+    oracle = {p: population_m(np.ones((p, scenario.r)), scenario.ar_coeffs, scenario.k0)[1]
+              for p in set(p_of_n.values())}
+    spectra = _replicate(cells, reps, workers, _spectrum)
     return EigenErrorStudy(
         scenario=scenario,
         n_grid=n_grid,
         p_of_n=p_of_n,
         tracked_j=tracked_j,
-        errors=errors,
-        population={n: population_at_p[p] for n, p in p_of_n.items()},
+        errors={n: np.vstack(rows)[:, tracked] - oracle[p][tracked]
+                for (n, p), rows in zip(p_of_n.items(), spectra)},
+        population={n: oracle[p][tracked] for n, p in p_of_n.items()},
     )
 
 
@@ -503,8 +493,8 @@ def ratio_trace_study(
     workers: Optional[int] = None,
 ) -> RatioTraceStudy:
     """Full eigenvalue-ratio sequences per replication over a size grid."""
-    n_grid, p_of_n, traces = _size_grid(scenario, n_grid, p_coef, reps, workers,
-                                        lambda p: _ratio(p, 1))
+    n_grid, p_of_n, cells = _size_grid(scenario, n_grid, p_coef)
+    traces = dict(zip(n_grid, map(np.vstack, _replicate(cells, reps, workers, _ratio_trace))))
     return RatioTraceStudy(
         scenario=scenario,
         n_grid=n_grid,
@@ -526,11 +516,7 @@ def two_step_study(
     first-pass count is the one-step count, and its second pass counts the
     factors left in the deflated panel.
     """
-    def measure(scn: Scenario, panel: Panel):
-        fit = two_step_estimate(panel, scn.k0)
-        return fit.r1_hat, fit.r2_hat, not fit.step2_no_sharp_minimum
-
-    results, = _replicate([(scenario, (scenario.n, scenario.p), measure)], reps, workers)
+    results, = _replicate([(scenario, (scenario.n, scenario.p))], reps, workers, _two_step_counts)
     one_counts = Counter(r1 for r1, _, _ in results)
     pair_counts = Counter((r1, r2) for r1, r2, _ in results)
     hits_two = sum(r1 + r2 == scenario.r for r1, r2, _ in results)

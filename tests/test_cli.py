@@ -517,6 +517,14 @@ def test_bad_cells_exit_2_with_their_messages(tmp_path):
         assert proc.stderr == f"hdfactor: error: {message}\n"
 
 
+def test_overlong_field_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("0" * 140_000 + ",1\n2,3\n")
+    proc = run_cli("estimate", path, "--out", tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"hdfactor: error: {path}:1: field larger than field limit (131072)\n"
+
+
 def test_non_utf8_inputs_exit_2_without_traceback(tmp_path):
     panel_path, _ = write_panel_csv(tmp_path, n=60, p=4, seed=13)
     latin = tmp_path / "latin1.csv"

@@ -234,6 +234,27 @@ def test_load_csv_bad_cells_keep_their_exact_messages(tmp_path, text, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n\n\n3,x\n", "non-numeric cell 'x' at row 4, column 2"),
+    ("1,2\n\n3\n", "ragged row 3: expected 2 fields, got 1"),
+    ("1,2\r\n\r\n3,x\r\n", "non-numeric cell 'x' at row 3, column 2"),
+    ('d,a\n"t\n1",1\n\nt2,x\n', "non-numeric cell 'x' at row 5, column 2"),
+    ('d,a\n"t\n1",1\nt2\n', "ragged row 4: expected 2 fields, got 1"),
+], ids=["blank-lines", "ragged", "crlf", "two-line-label", "two-line-label-ragged"])
+def test_load_csv_names_rows_by_their_line_in_the_file(tmp_path, text, message):
+    path = write(tmp_path, text)
+    for orientation in ("rows-are-time", "rows-are-series"):
+        with pytest.raises(ParseError) as info:
+            load_csv(path, orientation)
+        assert str(info.value) == message
+
+
+def test_load_csv_rejects_an_overlong_field_naming_its_line(tmp_path):
+    path = write(tmp_path, "1,2\n\n" + "0" * 140_000 + ",1\n2,3\n")
+    with pytest.raises(ParseError, match=r"panel\.csv:3: field larger than field limit"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("header", ["", "a,b\n"])
 def test_load_csv_skips_a_byte_order_mark(tmp_path, header):
     text = header + "1.5,2\n3,4\n5,6\n"

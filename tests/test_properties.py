@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hdfactor import _openblas, generate, m_eigenvalues, simulation, sym_eigen
+from hdfactor import _openblas, cli, generate, m_eigenvalues, simulation, sym_eigen
 from helpers import assert_second_pass_matches_dense_reference, table1_scenario
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -99,3 +99,33 @@ def test_solver_fast_path_is_active():
             mock.patch.object(np.linalg, "eigvalsh", numpy_solver):
         sym_eigen(m)
         m_eigenvalues(generate(table1_scenario(60, 20, seed=3))[0].values, 1)
+
+
+# ---------------------------------------------------------------- CLI exit codes
+
+_CELLS = ["x", "", "nan", "1e300", "7e-310", '"4"', '"', "\r", "\x00", "\x1c", "1\r2", " 5 "]
+
+
+@st.composite
+def _messy_csv(draw):
+    """Small numeric CSV texts, some with an odd cell or two, a bare \\r or a byte-order mark."""
+    cols, rows = draw(st.integers(1, 4)), draw(st.integers(0, 10))
+    body = [draw(st.lists(st.floats(-10, 10).map(repr), min_size=cols, max_size=cols))
+            for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2)) if body else 0):
+        row = draw(st.sampled_from(body))
+        row[draw(st.integers(0, cols - 1))] = draw(st.sampled_from(_CELLS))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(row) for row in body) + end
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(text=_messy_csv(), command=st.sampled_from(["estimate", "two-step"]),
+                  k0=st.integers(-1, 4))
+@hypothesis.example(text="0" * 140_000 + ",1\n2,3\n", command="estimate", k0=1)
+def test_cli_fit_failures_leave_through_an_exit_code(tmp_path_factory, text, command, k0):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "messy.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert cli.main([command, str(path), "--out", str(base / "out"), "--k0", str(k0)]) in range(4)
