@@ -140,7 +140,7 @@ def _print_fit(model):
     if model.method == "two-step":
         print(f"r1_hat = {model.r1_hat}, r2_hat = {model.r2_hat}"
               + (" (second pass shows no sharp minimum)" if model.step2_no_sharp_minimum else ""))
-    shown = [f"{i + 1}:{fmt_float(v)[:8]}" for i, v in enumerate(model.ratios[:8])]
+    shown = [f"{i + 1}:{v:.6g}" for i, v in enumerate(model.ratios[:8])]
     print("leading eigenvalue ratios:", "  ".join(shown))
 
 
@@ -158,31 +158,33 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    # Every diagnostic and check runs before anything is written or printed,
+    # so a failing run leaves no partial output.
     panel, model = _fit(args)
-    out = _out_dir(args)
-
     factor_acf = cross_acf(model.factors, args.max_lag,
                            series_ids=[f"factor{i + 1}" for i in range(model.r_hat)])
-    write_csv(out / "acf.csv", ["i", "j", "lag", "value", "band"], acf_rows(factor_acf))
-
     shares = variance_explained(model, panel)
-    write_csv(out / "variance_explained.csv", ["factor", "fraction"],
-              [(i + 1, v) for i, v in enumerate(shares)])
-    print("variance explained:", " ".join(fmt_float(v) for v in shares))
-
     extras = {"variance_explained": [float(v) for v in shares]}
     if args.directions:
         residual_acf = residual_projection_acf(model, panel, args.directions, args.max_lag)
-        write_csv(out / "residual_acf.csv", ["i", "j", "lag", "value", "band"],
-                  acf_rows(residual_acf))
     if args.project:
         series = load_csv(args.project, ORIENTATION_FLAGS[args.orientation])
         if series.p != 1:
             raise DomainError(f"projection input must hold one series, got {series.p}")
         ratio = projection_residual_ratio(series.values[0], model.factors)
         extras["projection_residual_ratio"] = ratio
-        print(fmt_float(ratio))
+
+    out = _out_dir(args)
+    write_csv(out / "acf.csv", ["i", "j", "lag", "value", "band"], acf_rows(factor_acf))
+    write_csv(out / "variance_explained.csv", ["factor", "fraction"],
+              [(i + 1, v) for i, v in enumerate(shares)])
+    if args.directions:
+        write_csv(out / "residual_acf.csv", ["i", "j", "lag", "value", "band"],
+                  acf_rows(residual_acf))
     dump_json(out / "model.json", model_to_dict(model, extras=extras))
+    print("variance explained:", " ".join(fmt_float(v) for v in shares))
+    if args.project:
+        print(fmt_float(ratio))
     return 0
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .estimation import FactorModel
+from .estimation import FactorModel, _lag_covs
 from .panel import Panel
 
 __all__ = [
@@ -76,14 +76,13 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
     for i, s in enumerate(spread):
         if s == 0.0:
             raise DomainError(f"series {series_ids[i]!r} is constant; autocorrelation is undefined")
+    # The scale stays a mean of squares: the lag-0 diagonal holds the same sums
+    # added in BLAS order, which differs in the last bits.
     centered = x - x.mean(axis=1, keepdims=True)
     scale = np.sqrt((centered**2).mean(axis=1))
 
-    acf = np.empty((m, m, max_lag + 1))
     denom = np.outer(scale, scale)
-    for k in range(max_lag + 1):
-        cov_k = centered[:, k:] @ centered[:, : n - k].T / n
-        acf[:, :, k] = cov_k / denom
+    acf = np.stack([cov / denom for cov in _lag_covs(x, range(max_lag + 1), False)], axis=2)
     return AcfReport(
         series_ids=series_ids,
         max_lag=max_lag,

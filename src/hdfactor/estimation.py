@@ -133,16 +133,18 @@ def _validate_lag(n: int, k: int, largest: bool = False) -> None:
         )
 
 
-def _lag_cov(values: np.ndarray, k: int, window_centering: bool) -> np.ndarray:
-    """Lag-k autocovariance of the columns of ``values`` with divisor n."""
+def _lag_covs(values: np.ndarray, lags, window_centering: bool):
+    """Lag-k autocovariances of the rows of ``values``, divisor n, for each k in ``lags``."""
     n = values.shape[1]
-    if window_centering and k > 0:
-        lead = values[:, k:] - values[:, k:].mean(axis=1, keepdims=True)
-        lag = values[:, : n - k] - values[:, : n - k].mean(axis=1, keepdims=True)
-    else:
+    if not window_centering or 0 in lags:
         centered = values - values.mean(axis=1, keepdims=True)
-        lead, lag = centered[:, k:], centered[:, : n - k]
-    return lead @ lag.T / n
+    for k in lags:
+        if window_centering and k > 0:
+            lead = values[:, k:] - values[:, k:].mean(axis=1, keepdims=True)
+            lag = values[:, : n - k] - values[:, : n - k].mean(axis=1, keepdims=True)
+        else:
+            lead, lag = centered[:, k:], centered[:, : n - k]
+        yield lead @ lag.T / n
 
 
 def sample_autocov(panel: Panel, k: int, *, window_centering: bool = False) -> np.ndarray:
@@ -158,7 +160,7 @@ def sample_autocov(panel: Panel, k: int, *, window_centering: bool = False) -> n
         If ``k`` is not in ``[0, n-2]`` (insufficient data).
     """
     _validate_lag(panel.n, k)
-    return _lag_cov(panel.values, int(k), window_centering)
+    return next(_lag_covs(panel.values, [int(k)], window_centering))
 
 
 def _pool(lag_covs) -> np.ndarray:
@@ -184,9 +186,7 @@ def build_m(panel: Panel, k0: int, *, window_centering: bool = False) -> Autocov
     """
     _validate_lag(panel.n, k0, largest=True)
     k0 = int(k0)
-    sigma = tuple(
-        _lag_cov(panel.values, k, window_centering) for k in range(k0 + 1)
-    )
+    sigma = tuple(_lag_covs(panel.values, range(k0 + 1), window_centering))
     return AutocovSet(k0=k0, sigma=sigma, m_hat=_pool(sigma[1:]))
 
 
@@ -253,7 +253,7 @@ def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vecto
     the span's dimension are exact zeros.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _pool(_lag_cov(coords, k, window_centering) for k in range(1, k0 + 1))
+        m = _pool(_lag_covs(coords, range(1, k0 + 1), window_centering))
     if not np.isfinite(m).all():
         raise DomainError(
             "pooled matrix is not finite: it grows with the fourth power of the "
@@ -480,7 +480,7 @@ def population_m(loadings: np.ndarray, ar_coeffs: Sequence[float], k0: int):
         raise DimensionError(
             f"need one AR coefficient per factor, got {theta.size} for {loadings.shape[1]} factors"
         )
-    if np.any(np.abs(theta) >= 1):
+    if not np.all(np.abs(theta) < 1):
         raise DomainError("AR coefficients must lie strictly inside (-1, 1)")
     if int(k0) != k0 or k0 < 1:
         raise DomainError(f"k0 must be a positive integer, got {k0}")

@@ -187,18 +187,18 @@ def _row_table(text: str, path):
     skip, first, row_labels, col_labels = _layout(rows[0], [row[0] for row in rows], width, path)
     body, lines = rows[skip:], lines[skip:]
     data = np.empty((len(body), width - first))
-    # A whole row per call, through the same float() as _parse_cell, so the
-    # bits match; the per-cell loop runs only to name the first bad cell.
-    try:
-        for i, row in enumerate(body):
+    # Each row is parsed whole, through the same float() as _parse_cell, so
+    # the bits match; only a row holding a bad cell is re-read cell by cell,
+    # to name its first bad cell.
+    for i, (row, line) in enumerate(zip(body, lines)):
+        try:
             data[i] = list(map(float, row[first:]))
-        clean = np.isfinite(data).all()
-    except ValueError:
-        clean = False
-    if not clean:
-        for i, (row, line) in enumerate(zip(body, lines)):
-            for j, cell in enumerate(row[first:]):
-                data[i, j] = _parse_cell(cell, line, j + first + 1)
+            if np.isfinite(data[i]).all():
+                continue
+        except ValueError:
+            pass
+        for j, cell in enumerate(row[first:]):
+            data[i, j] = _parse_cell(cell, line, j + first + 1)
     return data, row_labels, col_labels
 
 

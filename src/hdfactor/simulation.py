@@ -102,16 +102,18 @@ class Scenario:
             raise DimensionError("deltas and ar_coeffs must have one entry per factor")
         if any(not 0 <= d <= 1 for d in self.deltas):
             raise DomainError("factor strengths must lie in [0, 1]")
-        if any(abs(a) >= 1 for a in self.ar_coeffs):
+        if any(not abs(a) < 1 for a in self.ar_coeffs):
             raise DomainError("AR coefficients must lie strictly inside (-1, 1)")
-        if self.noise_var < 0:
-            raise DomainError("noise variance cannot be negative")
+        if not 0 <= self.noise_var < math.inf:
+            raise DomainError("noise variance must be finite and non-negative")
         if not 1 <= self.k0 <= self.n - 2:
             raise DomainError(f"k0 must be in [1, n-2] = [1, {self.n - 2}], got {self.k0}")
         if self.loading_scheme not in LOADING_SCHEMES:
             raise DomainError(f"loading scheme must be one of {LOADING_SCHEMES}")
         if self.loading_scheme == "all-ones" and self.r != 1:
             raise DomainError("all-ones loadings are rank one; they require r = 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -345,6 +347,20 @@ def _two_step_counts(scn: Scenario, panel: Panel) -> tuple:
     return fit.r1_hat, fit.r2_hat, not fit.step2_no_sharp_minimum
 
 
+def _scaled_p(coef: float, n: int) -> int:
+    """The dimension ``round(coef * n)`` of a cell whose p grows with n."""
+    if not math.isfinite(coef * n):
+        raise DomainError(f"p = {coef:g} * {n} is not a finite dimension")
+    return int(round(coef * n))
+
+
+def _check_ratio_dims(dims) -> None:
+    """Reject a study cell with p < 2: the ratio rule compares two eigenvalues."""
+    small = [p for p in dims if p < 2]
+    if small:
+        raise DomainError(f"ratio estimation needs p >= 2, got p = {small[0]}")
+
+
 def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float]):
     """The cells of ``scenario`` at each sample size of ``n_grid``.
 
@@ -357,7 +373,7 @@ def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float
     repeated = [n for n, count in Counter(n_grid).items() if count > 1]
     if repeated:
         raise DomainError(f"n_grid repeats n = {repeated[0]}")
-    p_of_n = {n: scenario.p if p_coef is None else int(round(p_coef * n)) for n in n_grid}
+    p_of_n = {n: scenario.p if p_coef is None else _scaled_p(p_coef, n) for n in n_grid}
     return n_grid, p_of_n, [(replace(scenario, n=n, p=p), (n, p)) for n, p in p_of_n.items()]
 
 
@@ -395,8 +411,9 @@ def run_table1(
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    grid = [(float(delta), int(n), int(round(rule * n)), float(rule))
+    grid = [(float(delta), int(n), _scaled_p(rule, int(n)), float(rule))
             for delta, n, rule in itertools.product(deltas, n_grid, p_rules)]
+    _check_ratio_dims(p for _, _, p, _ in grid)
     cells = [(Scenario(n=n, p=p, r=r, deltas=(delta,) * r, ar_coeffs=ar_coeffs,
                        noise_var=noise_var, k0=k0, seed=base_seed), (_delta_code(delta), n, p))
              for delta, n, p, _ in grid]
@@ -494,6 +511,7 @@ def ratio_trace_study(
 ) -> RatioTraceStudy:
     """Full eigenvalue-ratio sequences per replication over a size grid."""
     n_grid, p_of_n, cells = _size_grid(scenario, n_grid, p_coef)
+    _check_ratio_dims(p_of_n.values())
     traces = dict(zip(n_grid, map(np.vstack, _replicate(cells, reps, workers, _ratio_trace))))
     return RatioTraceStudy(
         scenario=scenario,
@@ -516,6 +534,7 @@ def two_step_study(
     first-pass count is the one-step count, and its second pass counts the
     factors left in the deflated panel.
     """
+    _check_ratio_dims([scenario.p])
     results, = _replicate([(scenario, (scenario.n, scenario.p))], reps, workers, _two_step_counts)
     one_counts = Counter(r1 for r1, _, _ in results)
     pair_counts = Counter((r1, r2) for r1, r2, _ in results)

@@ -94,3 +94,41 @@ def assert_second_pass_matches_dense_reference(panel, k0, wc, r1):
     assert model.r2_hat == r2
     assert np.array_equal(np.isnan(model.ratios_step2), np.isnan(ratios2))
     assert model.loadings.shape == (panel.p, r1 + r2)
+
+
+# Study inputs that must stop with exit 1 before any replication: a p rule
+# or p_coef whose coef * n is not finite, a negative seed, and p = 1 in a
+# study that counts factors by the ratio rule.  Each is (command, scenario
+# JSON, extra flags, message).
+STUDY_INPUT_FAULTS = {
+    "table1-nan-rule": (
+        "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [NaN]}', (),
+        "p = nan * 60 is not a finite dimension"),
+    "table1-overflowing-rule": (
+        "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [1e400]}', (),
+        "p = inf * 60 is not a finite dimension"),
+    "ratio-trace-infinite-p-coef": (
+        "simulate", '{"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "p_coef": Infinity}', (),
+        "p = inf * 60 is not a finite dimension"),
+    "rates-nan-p-coef": (
+        "rates", '{"n": 60, "p": 10, "n_grid": [60, 80, 100], "p_coef": NaN}', (),
+        "p = nan * 60 is not a finite dimension"),
+    "negative-seed-in-file": (
+        "simulate", '{"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "seed": -3}', (),
+        "seed must be non-negative, got -3"),
+    "negative-seed-flag": (
+        "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [0.2]}', ("--seed", -1),
+        "seed must be non-negative, got -1"),
+    "rates-negative-seed-flag": (
+        "rates", '{"n": 60, "p": 10, "n_grid": [60, 80, 100]}', ("--seed", -1),
+        "seed must be non-negative, got -1"),
+    "ratio-trace-p-of-1": (
+        "simulate", '{"study": "ratio-trace", "n": 60, "p": 1, "r": 1}', (),
+        "ratio estimation needs p >= 2, got p = 1"),
+    "two-step-p-of-1": (
+        "simulate", '{"study": "two-step", "n": 60, "p": 1, "r": 1}', (),
+        "ratio estimation needs p >= 2, got p = 1"),
+    "table1-p-of-1": (
+        "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [0.01], "r": 1}', (),
+        "ratio estimation needs p >= 2, got p = 1"),
+}

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdfactor import Panel, estimate, generate, load_csv, save_csv
-from helpers import s1_scenario, table1_scenario
+from hdfactor import Panel, Scenario, estimate, generate, load_csv, save_csv
+from helpers import STUDY_INPUT_FAULTS, s1_scenario, table1_scenario
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -147,6 +147,29 @@ def test_two_step_writes_both_passes(tmp_path):
     assert doc["r_hat"] == doc["r1_hat"] + doc["r2_hat"]
 
 
+def test_fit_summary_prints_each_ratio_in_full(tmp_path):
+    # The ratio that picks r_hat = 2 here is about 4e-11; cut to eight
+    # characters it used to print as 3.854501, the look of the largest ratio.
+    scenario = Scenario(n=200, p=10, r=2, deltas=(0, 0), ar_coeffs=(0.9, -0.8),
+                        noise_var=1e-8, seed=1)
+    path = tmp_path / "panel.csv"
+    save_csv(generate(scenario)[0], path, "rows-are-time")
+    proc = run_cli("estimate", path, "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    model = estimate(load_csv(path, "rows-are-time"))
+    assert model.r_hat == 2
+    label, shown = proc.stdout.splitlines()[-1].split(": ", 1)
+    assert label == "leading eigenvalue ratios"
+    pairs = [item.split(":") for item in shown.split()]
+    assert [int(i) for i, _ in pairs] == list(range(1, min(8, model.ratios.size) + 1))
+    for i, value in pairs:
+        want = model.ratios[int(i) - 1]
+        if np.isnan(want):
+            assert value == "nan"
+        else:
+            assert abs(float(value) - want) <= 1e-5 * abs(want), (i, value, want)
+
+
 def test_two_step_full_rank_override_reports_empty_second_pass(tmp_path):
     # r1 = 49 is the rank of the centred 50 x 120 panel: nothing is left.
     path, _ = write_panel_csv(tmp_path, n=50, p=120, seed=66)
@@ -194,10 +217,67 @@ def test_diagnose_outputs(tmp_path):
     assert f"{ratio:.3f}"[:4] in proc.stdout or str(ratio) in proc.stdout
 
 
+# sha256 of every file `diagnose` writes for the seeded panel below,
+# computed while fits and diagnostics each formed their own lag
+# autocovariances.  The two runs cover both centrings and both fit commands.
+DIAGNOSE_RUNS = {
+    "one-step": (("--directions", "4,5", "--project", "u.csv"), {
+        "acf.csv":
+            "6f6e1ef064d8c1b4450e02898b328d8a5738e58ab448c53431ddff29bc461a57",
+        "model.json":
+            "5a15a0a8e3d8c0e505f4471a6357cabe9d2ba4c886f11f04ceace9db9f7280ae",
+        "residual_acf.csv":
+            "42b19737864c734f700032f44ed3cee82208bd1640c2faf4ca8878d6010ad550",
+        "variance_explained.csv":
+            "e89d2af89de1e659ea4a336a00aabbb01907ee4bf6ffc666f435d3455f05accf",
+    }),
+    "two-step": (("--two-step", "--appendix-centering", "--directions", "9,10"), {
+        "acf.csv":
+            "2a4230952803e0b9c7e0b388f4df23df8ed16f4bfc5e760ea2f7c4e367ac98bd",
+        "model.json":
+            "5760801d9582f4740db69c7cf9627329a40123ca8db9ca49148febfa8b5ac033",
+        "residual_acf.csv":
+            "ba964738d528460eb85a4d3aa1df8657877287103ab9bec3177cde36834b646e",
+        "variance_explained.csv":
+            "92c8ea970073fec859ae8c5c52b0e6e14ac5793e23ae3234a3cc4d6723f55159",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSE_RUNS))
+def test_diagnose_output_bytes_are_pinned(tmp_path, name):
+    flags, digests = DIAGNOSE_RUNS[name]
+    path, panel = write_panel_csv(tmp_path, n=200, p=10, seed=10)
+    save_csv(Panel(panel.values[:1], time_labels=panel.time_labels), tmp_path / "u.csv",
+             "rows-are-time")
+    out = tmp_path / "out"
+    proc = run_cli("diagnose", path, "--max-lag", 6, *flags, "--out", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == digests
+
+
 def test_diagnose_rejects_factor_direction_with_exit_1(tmp_path):
-    path, _ = write_panel_csv(tmp_path, n=300, p=10, seed=11)
-    proc = run_cli("diagnose", path, "--k0", 1, "--directions", "1", "--out", tmp_path)
+    path, panel = write_panel_csv(tmp_path, n=300, p=10, seed=11)
+    out = tmp_path / "out"
+    proc = run_cli("diagnose", path, "--k0", 1, "--directions", "1", "--out", out)
     assert proc.returncode == 1
+    r_hat = estimate(panel, k0=1).r_hat
+    assert proc.stderr == ("hdfactor: error: direction 1 is a factor direction "
+                           f"(r_hat = {r_hat}), not a residual one\n")
+    # Every check runs before diagnose writes or prints anything.
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_diagnose_rejects_a_multi_series_projection_and_writes_nothing(tmp_path):
+    path, _ = write_panel_csv(tmp_path, n=300, p=12, seed=11)
+    out = tmp_path / "out"
+    proc = run_cli("diagnose", path, "--k0", 1, "--project", path, "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == "hdfactor: error: projection input must hold one series, got 12\n"
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_diagnose_rejects_direction_beyond_computed_ones_with_exit_1(tmp_path):
@@ -351,6 +431,32 @@ def test_a_repeated_n_exits_1_and_leaves_no_output(tmp_path, command, config):
     assert proc.stderr == f"hdfactor: error: n_grid repeats n = {config['n_grid'][0]}\n"
     assert proc.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_INPUT_FAULTS))
+def test_a_bad_study_input_exits_1_and_leaves_no_output(tmp_path, name):
+    command, text, flags, message = STUDY_INPUT_FAULTS[name]
+    cfg = tmp_path / "case.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    proc = run_cli(command, "--scenario", cfg, "--reps", 2, *flags, "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == f"hdfactor: error: {message}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_a_non_integer_thread_count_exits_1_and_leaves_no_output(tmp_path):
+    cfg = tmp_path / "case.json"
+    cfg.write_text('{"study": "two-step", "n": 40, "p": 8, "r": 1}')
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", cfg, "--reps", 1, "--out", out,
+                   env_extra={"HDFACTOR_THREADS": "x"})
+    assert proc.returncode == 1
+    assert proc.stderr == "hdfactor: error: HDFACTOR_THREADS must be an integer, got 'x'\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
 
 def test_cli_passes_the_library_only_the_keys_a_scenario_sets(tmp_path, monkeypatch):
     # Keys a scenario file leaves out take the library's defaults, so the

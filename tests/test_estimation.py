@@ -486,8 +486,9 @@ def test_population_m_rank_bound():
 
 
 def test_population_m_rejects_nonstationary():
-    with pytest.raises(DomainError):
-        population_m(np.ones((3, 1)), [1.0], 1)
+    for theta in (1.0, np.nan):
+        with pytest.raises(DomainError, match="strictly inside"):
+            population_m(np.ones((3, 1)), [theta], 1)
 
 
 def test_population_m_kills_orthogonal_complement():

@@ -1,13 +1,14 @@
 """Property tests over random shapes, derandomized so every run draws the same cases."""
 
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from hdfactor import _openblas, cli, generate, m_eigenvalues, simulation, sym_eigen
-from helpers import assert_second_pass_matches_dense_reference, table1_scenario
+from hdfactor import Panel, _openblas, cli, generate, m_eigenvalues, save_csv, simulation, sym_eigen
+from helpers import STUDY_INPUT_FAULTS, assert_second_pass_matches_dense_reference, table1_scenario
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -129,3 +130,96 @@ def test_cli_fit_failures_leave_through_an_exit_code(tmp_path_factory, text, com
     path = base / "messy.csv"
     path.write_bytes(text.encode("utf-8"))
     assert cli.main([command, str(path), "--out", str(base / "out"), "--k0", str(k0)]) in range(4)
+
+
+# ---------------------------------------------------------------- diagnose, simulate and rates
+
+_ODD_VALUES = ["NaN", "1e400", "-1e400", "-3", "0", "null", '"x"', "[[1]]"]
+_STUDY_KEYS = ["n", "p", "r", "seed", "reps", "n_grid", "p_rules", "p_coef", "k0", "noise_var",
+               "deltas", "ar_coeffs", "tracked_j", "loading_scheme"]
+# Valid small studies, each value a JSON text: n <= 60, p <= 12, at most 3 grid points.
+_STUDY_BASES = {
+    "table1": ("simulate", {"study": '"table1"', "n_grid": "[40, 60]", "p_rules": "[0.2]",
+                            "r": "1", "reps": "2"}),
+    "ratio-trace": ("simulate", {"study": '"ratio-trace"', "n": "40", "p": "8", "r": "1",
+                                 "n_grid": "[40, 60]", "reps": "2"}),
+    "two-step": ("simulate", {"study": '"two-step"', "n": "40", "p": "8", "r": "1", "reps": "2"}),
+    "rates": ("rates", {"n": "40", "p": "8", "n_grid": "[40, 50, 60]", "reps": "2"}),
+}
+
+
+@st.composite
+def _study_runs(draw):
+    """``(command, scenario JSON text, flags)`` of a small study with up to two odd values."""
+    command, config = _STUDY_BASES[draw(st.sampled_from(sorted(_STUDY_BASES)))]
+    config = {**config, **draw(st.dictionaries(st.sampled_from(_STUDY_KEYS),
+                                               st.sampled_from(_ODD_VALUES), max_size=2))}
+    text = "{" + ", ".join(f'"{key}": {value}' for key, value in config.items()) + "}"
+    flags = []
+    for flag, values in (("--reps", [None, 1, 2]), ("--seed", [None, -1, 0, 3])):
+        value = draw(st.sampled_from(values))
+        flags += [] if value is None else [flag, value]
+    return command, text, tuple(flags)
+
+
+def _no_output_on_failure(tmp_path_factory, argv):
+    """Run ``hdfactor`` in process; a failure must leave through 1-3 and write nothing."""
+    out = tmp_path_factory.mktemp("run") / "out"
+    code = cli.main([*map(str, argv), "--out", str(out)])
+    assert code in range(4)
+    assert code == 0 or not out.exists()
+    return code
+
+
+def _with_study_fault_examples(test):
+    for command, text, flags, _ in STUDY_INPUT_FAULTS.values():
+        test = hypothesis.example(run=(command, text, ("--reps", 2, *flags)), threads=None)(test)
+    return test
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@hypothesis.given(run=_study_runs(), threads=st.sampled_from([None, "1", "2", "x"]))
+@_with_study_fault_examples
+@hypothesis.example(run=("rates", '{"n": 40, "p": 8, "n_grid": [40, 50, 60], "ar_coeffs": NaN}',
+                         ("--reps", 2)), threads=None)
+@hypothesis.example(run=("simulate", '{"study": "two-step", "n": 40, "p": 8, "r": 1}',
+                         ("--reps", 1)), threads="x")
+def test_study_failures_leave_through_an_exit_code(tmp_path_factory, run, threads):
+    command, text, flags = run
+    cfg = tmp_path_factory.mktemp("scenario") / "case.json"
+    cfg.write_text(text)
+    with mock.patch.dict(os.environ):
+        os.environ.pop("HDFACTOR_THREADS", None)
+        if threads is not None:
+            os.environ["HDFACTOR_THREADS"] = threads
+        code = _no_output_on_failure(tmp_path_factory, [command, "--scenario", cfg, *flags])
+    # Every study that runs reads the worker count, which "x" is not.
+    assert threads != "x" or code != 0
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@hypothesis.given(
+    n=st.integers(5, 60),
+    p=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+    max_lag=st.sampled_from([-1, 0, 1, 3, 58, 100]),
+    directions=st.sampled_from([None, "", "1", "2,3", "0", "-2", "12", "100", "3,x"]),
+    project=st.sampled_from([None, "one", "many", "missing"]),
+    two_step=st.booleans(),
+)
+@hypothesis.example(n=60, p=10, seed=11, max_lag=6, directions="1", project=None, two_step=False)
+@hypothesis.example(n=60, p=12, seed=11, max_lag=6, directions=None, project="many",
+                    two_step=False)
+def test_diagnose_failures_leave_through_an_exit_code(tmp_path_factory, n, p, seed, max_lag,
+                                                      directions, project, two_step):
+    base = tmp_path_factory.mktemp("diagnose")
+    panel, _ = generate(table1_scenario(n, p, seed=seed))
+    save_csv(panel, base / "panel.csv", "rows-are-time")
+    save_csv(Panel(panel.values[:1]), base / "one.csv", "rows-are-time")
+    argv = ["diagnose", base / "panel.csv", "--max-lag", max_lag]
+    if directions is not None:
+        argv += ["--directions", directions]
+    if project is not None:
+        name = {"one": "one.csv", "many": "panel.csv", "missing": "absent.csv"}[project]
+        argv += ["--project", base / name]
+    _no_output_on_failure(tmp_path_factory, argv + ["--two-step"] * two_step)

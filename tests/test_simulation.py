@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -155,8 +156,12 @@ def test_scenario_validation():
         Scenario(n=3, p=4, r=1, deltas=(0.0,), ar_coeffs=(0.5,))
     with pytest.raises(DomainError):
         Scenario(n=50, p=2, r=3, deltas=(0.0,) * 3, ar_coeffs=(0.5,) * 3)
-    with pytest.raises(DomainError):
-        Scenario(n=50, p=8, r=1, deltas=(0.0,), ar_coeffs=(1.0,))
+    for theta in (1.0, np.nan):
+        with pytest.raises(DomainError, match="strictly inside"):
+            Scenario(n=50, p=8, r=1, deltas=(0.0,), ar_coeffs=(theta,))
+    for noise_var in (-1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            Scenario(n=50, p=8, r=1, deltas=(0.0,), ar_coeffs=(0.5,), noise_var=noise_var)
     with pytest.raises(DomainError):
         Scenario(n=50, p=8, r=1, deltas=(1.5,), ar_coeffs=(0.5,))
     with pytest.raises(DomainError):
@@ -231,6 +236,38 @@ def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
 
     monkeypatch.setattr(simulation, "generate", no_replications)
     with pytest.raises(DomainError, match=r"^n_grid repeats n = (60|80)$"):
+        study()
+
+
+@pytest.mark.parametrize("study, message", [
+    (lambda: run_table1([0.0], [60], [float("nan")], reps=3, base_seed=1),
+     "p = nan * 60 is not a finite dimension"),
+    (lambda: run_table1([0.0], [60], [1e400], reps=3, base_seed=1),
+     "p = inf * 60 is not a finite dimension"),
+    (lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [60], reps=3, p_coef=float("nan")),
+     "p = nan * 60 is not a finite dimension"),
+    (lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 100], [1], reps=3,
+                               p_coef=float("-inf")),
+     "p = -inf * 60 is not a finite dimension"),
+    (lambda: run_table1([0.0], [60], [0.2], reps=3, base_seed=-1),
+     "seed must be non-negative, got -1"),
+    (lambda: ratio_trace_study(s1_scenario(60, 10, seed=-3), [60], reps=3),
+     "seed must be non-negative, got -3"),
+    (lambda: run_table1([0.0], [60], [0.01], reps=3, base_seed=1, r=1),
+     "ratio estimation needs p >= 2, got p = 1"),
+    (lambda: ratio_trace_study(s1_scenario(60, 1, seed=1), [60], reps=3),
+     "ratio estimation needs p >= 2, got p = 1"),
+    (lambda: two_step_study(s1_scenario(60, 1, seed=1), reps=3),
+     "ratio estimation needs p >= 2, got p = 1"),
+], ids=["table1-nan-rule", "table1-overflowing-rule", "ratio-trace-nan-p-coef",
+        "eigen-error-infinite-p-coef", "table1-negative-seed", "negative-seed",
+        "table1-p-of-1", "ratio-trace-p-of-1", "two-step-p-of-1"])
+def test_a_bad_study_input_raises_before_any_replication(monkeypatch, study, message):
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         study()
 
 
