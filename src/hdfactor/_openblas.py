@@ -5,8 +5,10 @@ whose symbols carry a ``scipy_`` prefix and a ``64_`` suffix.  This module
 finds that library once, on first use, and owns the symbol names the
 package calls:
 
-- ``threads_api`` reaches the process-wide BLAS thread count, which the
-  Monte Carlo studies hold at one thread;
+- ``threads_api`` reaches the process-wide BLAS thread count, and
+  ``single_thread_blas`` holds it at one thread: the Monte Carlo studies and
+  every CLI command run under that hold, because OpenBLAS's thread count
+  changes the bits of large matrix products and factorizations;
 - ``eigh`` solves a symmetric eigenproblem with ``dsyevd``, the LAPACK
   routine behind ``np.linalg.eigh`` and ``eigvalsh``.  numpy's ``linalg``
   keeps the interpreter lock during a call on a single matrix; a ctypes
@@ -14,14 +16,18 @@ package calls:
   eigensolves.
 
 Where the library or a symbol is missing (numpy 1.x, a numpy built on MKL
-or Accelerate), ``threads_api`` returns None and ``eigh`` calls numpy.
+or Accelerate), ``threads_api`` returns None, the hold leaves the thread
+count alone, and ``eigh`` calls numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import threading
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -57,6 +63,39 @@ def threads_api():
     get = _symbol("scipy_openblas_get_num_threads64_", ctypes.c_int, [])
     set_ = _symbol("scipy_openblas_set_num_threads64_", None, [ctypes.c_int])
     return None if get is None or set_ is None else (get, set_)
+
+
+class _SingleThreadBlas(contextlib.ContextDecorator):
+    """Holds numpy's OpenBLAS at one thread while any holder runs.
+
+    The thread count is process-wide, so every holder, in any thread and at
+    any nesting depth, shares one hold: the first to enter saves the count
+    and sets one thread, and the last to leave restores the saved count.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved: Optional[int] = None
+
+    def __enter__(self):
+        with self._lock:
+            api = threads_api()
+            if self._holders == 0 and api is not None:
+                self._saved = api[0]()
+                api[1](1)
+            self._holders += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._saved is not None:
+                threads_api()[1](self._saved)
+                self._saved = None
+
+
+single_thread_blas = _SingleThreadBlas()
 
 
 @functools.cache

@@ -5,6 +5,10 @@ studies into reproducible batch runs.  No plots are rendered: every
 figure-shaped result is written as a CSV that any plotting tool can
 consume.  Exit codes separate failure classes so scripts can branch:
 0 success, 1 estimation/domain error, 2 I/O or parse error, 3 bad flags.
+
+Every command runs with numpy's OpenBLAS held at one thread, as the
+Monte Carlo studies already are, so the bytes a command writes do not
+depend on ``OPENBLAS_NUM_THREADS`` or the core count.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _openblas
 from .diagnostics import cross_acf, projection_residual_ratio, residual_projection_acf, variance_explained
 from .errors import DimensionError, DomainError, HDFactorError, ParseError
 from .estimation import DEFAULT_K0, estimate, two_step_estimate
@@ -354,7 +358,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
+        with _openblas.single_thread_blas:
+            return args.func(args)
     except (ParseError, DimensionError, OSError) as exc:
         print(f"hdfactor: error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .estimation import FactorModel, _lag_covs
+from .estimation import RATIO_FLOOR, FactorModel, _lag_covs
 from .panel import Panel
 
 __all__ = [
@@ -101,6 +101,12 @@ def residual_projection_acf(
     are factors, not residual directions) and be at most the number of
     eigenvectors the fit holds, min(p, n).  If the fit removed all serial
     correlation, these projected series behave like white noise.
+
+    A direction whose eigenvalue is at or below ``RATIO_FLOOR`` (1e-12) of
+    the largest is numerically null, the same zero the ratio rule masks:
+    its projection is roundoff, so it is rejected.  The rule reads the
+    fit's reported eigenvalues; past double range, where those are inf or
+    0, it rejects every direction.
     """
     if model.eigenvectors is None:
         raise DomainError("model carries no eigenvectors; refit before projecting")
@@ -126,6 +132,11 @@ def residual_projection_acf(
         if rms <= 1e-12 * panel_rms:
             raise DomainError(
                 f"projection on direction {d} has zero variance relative to the panel"
+            )
+        if model.eigenvalues[d - 1] <= RATIO_FLOOR * model.eigenvalues[0]:
+            raise DomainError(
+                f"direction {d} is numerically null: its eigenvalue is at most "
+                f"{RATIO_FLOOR:g} of the largest"
             )
     return cross_acf(series, max_lag, series_ids=[f"eig{d}" for d in directions])
 

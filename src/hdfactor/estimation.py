@@ -13,6 +13,7 @@ of the estimated zero-eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,6 +42,7 @@ DEFAULT_K0 = 5
 RATIO_FLOOR = 1e-12        # eigenvalues below this fraction of the largest are treated as zero
 SYMMETRY_RTOL = 1e-10
 STEP2_FLAT_RATIO = 0.5     # reporting flag only: second pass shows no sharp minimum
+SCALE_BAND = 64            # panels whose largest |value| lies in [2^-64, 2^64] are not rescaled
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,12 @@ class FactorModel:
     span, the eigenvalues past n are exact zeros, and the directions
     beyond the first n (null directions of the pooled matrix) are not
     formed.
+
+    Factors and residuals are in the panel's units and eigenvalues in
+    their fourth power; counts, ratios and loadings do not depend on the
+    data's scale (see ``_unit_scale``).  A value past double range is
+    reported as IEEE arithmetic gives it: ``inf`` above about 1.8e308,
+    0 below about 5e-324.
     """
 
     r_hat: int
@@ -240,6 +248,31 @@ def _span(values: np.ndarray, basis: bool = True):
     return None, np.linalg.qr(values, mode="r")
 
 
+def _unit_scale(values: np.ndarray):
+    """``(values * 2**-e, e)``, with the largest |value| moved into [0.5, 1).
+
+    e is 0, and ``values`` is returned as it is, when its largest |value|
+    lies in [2^-64, 2^64] or is 0.  Scaling by a power of two is exact
+    (entries below 2^-1022 of the largest may round), and every later step
+    scales with it bit for bit, so counts and ratios do not depend on e,
+    while the pooled matrix, which grows with the fourth power of the
+    scale, can neither overflow nor underflow.
+    """
+    top = max(float(values.max()), -float(values.min()))
+    if top == 0.0 or 2.0**-SCALE_BAND <= top <= 2.0**SCALE_BAND:
+        return values, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(values, -e), e
+
+
+def _in_units(values: np.ndarray, e: int) -> np.ndarray:
+    """``values * 2**e``: inf past the largest double, 0 below the smallest."""
+    if e == 0:
+        return values
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(values, e)
+
+
 def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vectors: bool = True):
     """Descending spectrum of the pooled matrix of a panel given in span coordinates.
 
@@ -252,13 +285,7 @@ def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vecto
     eigenvectors are Q times those of ``M(R)``, and its eigenvalues past
     the span's dimension are exact zeros.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _pool(_lag_covs(coords, range(1, k0 + 1), window_centering))
-    if not np.isfinite(m).all():
-        raise DomainError(
-            "pooled matrix is not finite: it grows with the fourth power of the "
-            "data scale and overflowed; rescale the panel"
-        )
+    m = _pool(_lag_covs(coords, range(1, k0 + 1), window_centering))
     if vectors:
         system = sym_eigen(m)
         lam, coord_vectors = system.eigenvalues, system.eigenvectors
@@ -339,8 +366,13 @@ def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False
     the entries past n are exact zeros, and only the R of the panel's QR
     is formed.  Like ``sym_eigen``, the solve releases the interpreter
     lock, so replications in a thread pool overlap their eigensolves.
+
+    For a panel that ``_unit_scale`` rescales by 2^-e (its largest |value|
+    lies outside [2^-64, 2^64]), the spectrum is that of the rescaled
+    panel, 2^(-4e) times the panel's own: the same ratios and counts, and
+    never past double range.
     """
-    values = np.asarray(values, dtype=float)
+    values = _unit_scale(np.asarray(values, dtype=float))[0]
     coords = _span(values, basis=False)[1]
     return _pooled_eigen(coords, values.shape[0], int(k0), window_centering, False)[0]
 
@@ -358,14 +390,16 @@ class _FirstPass(NamedTuple):
     r_hat: int
     ratios: np.ndarray
     ratio_span: int
+    exponent: int                    # the panel was fitted times 2**-exponent
 
 
 def _first_pass(panel: Panel, k0, ratio_span, window_centering) -> _FirstPass:
-    """Center the panel, eigensolve its pooled matrix in span coordinates, count."""
+    """Rescale and center the panel, eigensolve its pooled matrix in span coordinates, count."""
     _validate_lag(panel.n, k0, largest=True)
     k0 = int(k0)
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    basis, coords = _span(panel.values)
+    values, e = _unit_scale(panel.values)
+    centered = values - values.mean(axis=1, keepdims=True)
+    basis, coords = _span(values)
     lam, coord_vectors = _pooled_eigen(coords, panel.p, k0, window_centering)
     if panel.p == 1:
         if float(centered[0] @ centered[0] / panel.n) < 1e-300:
@@ -376,17 +410,19 @@ def _first_pass(panel: Panel, k0, ratio_span, window_centering) -> _FirstPass:
         r_hat, ratios = ratio_estimate(lam, span)
     coords = centered if basis is None else coords - coords.mean(axis=1, keepdims=True)
     return _FirstPass(centered, basis, coords, k0, lam, coord_vectors,
-                      _in_panel(basis, coord_vectors), r_hat, ratios, span)
+                      _in_panel(basis, coord_vectors), r_hat, ratios, span, e)
 
 
 def _fit(first: _FirstPass, loadings: np.ndarray, **extra) -> FactorModel:
-    """Factor model of the centered panel on orthonormal ``loadings``."""
+    """Factor model of the centered panel on orthonormal ``loadings``, in the panel's units."""
     factors = loadings.T @ first.centered
     residuals = first.centered - loadings @ factors
+    e = first.exponent
     return FactorModel(
-        r_hat=loadings.shape[1], loadings=loadings, factors=factors, residuals=residuals,
-        eigenvalues=first.eigenvalues, ratios=first.ratios, k0=first.k0,
-        ratio_span=first.ratio_span, eigenvectors=first.eigenvectors, **extra,
+        r_hat=loadings.shape[1], loadings=loadings, factors=_in_units(factors, e),
+        residuals=_in_units(residuals, e), eigenvalues=_in_units(first.eigenvalues, 4 * e),
+        ratios=first.ratios, k0=first.k0, ratio_span=first.ratio_span,
+        eigenvectors=first.eigenvectors, **extra,
     )
 
 
@@ -455,7 +491,8 @@ def two_step_estimate(
         r2, ratios2 = ratio_estimate(lam2, first.ratio_span)
     loadings2 = _in_panel(first.basis, coord_vectors2[:, :r2])
     return _fit(first, np.hstack([first.eigenvectors[:, :r1], loadings2]), method="two-step",
-                r1_hat=r1, r2_hat=r2, eigenvalues_step2=lam2, ratios_step2=ratios2,
+                r1_hat=r1, r2_hat=r2, eigenvalues_step2=_in_units(lam2, 4 * first.exponent),
+                ratios_step2=ratios2,
                 step2_no_sharp_minimum=r2 == 0 or bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO))
 
 

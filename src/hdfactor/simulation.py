@@ -10,7 +10,8 @@ LAPACK with the interpreter lock released (see ``estimation.sym_eigen``),
 as do numpy's matrix products.
 
 Studies run BLAS single-threaded: while one runs, numpy's bundled OpenBLAS
-is held at one thread and the replication pool supplies the parallelism.
+is held at one thread (``_openblas.single_thread_blas``) and the
+replication pool supplies the parallelism.
 OpenBLAS's thread count changes result bits at study sizes, so this also
 makes study outputs independent of ``HDFACTOR_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and the core count.  With a numpy built against
@@ -20,11 +21,9 @@ worker count only.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -231,39 +230,6 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-class _SingleThreadBlas(contextlib.ContextDecorator):
-    """Holds numpy's OpenBLAS at one thread while any study runs.
-
-    The thread count is process-wide, so every holder, in any thread and at
-    any nesting depth, shares one hold: the first to enter saves the count
-    and sets one thread, and the last to leave restores the saved count.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._saved: Optional[int] = None
-
-    def __enter__(self):
-        with self._lock:
-            api = _openblas.threads_api()
-            if self._holders == 0 and api is not None:
-                self._saved = api[0]()
-                api[1](1)
-            self._holders += 1
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0 and self._saved is not None:
-                _openblas.threads_api()[1](self._saved)
-                self._saved = None
-
-
-_single_thread_blas = _SingleThreadBlas()
-
-
 def generate(scenario: Scenario):
     """Draw one panel from the scenario, returning it with its truth.
 
@@ -387,7 +353,7 @@ def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McRes
     )
 
 
-@_single_thread_blas
+@_openblas.single_thread_blas
 def run_table1(
     deltas: Sequence[float],
     n_grid: Sequence[int],
@@ -422,7 +388,7 @@ def run_table1(
             for coords, (cell, _), r_hats in zip(grid, cells, r_hats_by_cell)]
 
 
-@_single_thread_blas
+@_openblas.single_thread_blas
 def eigen_error_study(
     scenario: Scenario,
     n_grid: Sequence[int],
@@ -500,7 +466,7 @@ def fit_error_slopes(study: EigenErrorStudy, confidence_z: float = 1.96) -> list
     return fits
 
 
-@_single_thread_blas
+@_openblas.single_thread_blas
 def ratio_trace_study(
     scenario: Scenario,
     n_grid: Sequence[int],
@@ -522,7 +488,7 @@ def ratio_trace_study(
     )
 
 
-@_single_thread_blas
+@_openblas.single_thread_blas
 def two_step_study(
     scenario: Scenario, reps: int, *, workers: Optional[int] = None
 ) -> TwoStepStudy:

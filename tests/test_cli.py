@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,16 +8,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdfactor import Panel, Scenario, estimate, generate, load_csv, save_csv
-from helpers import STUDY_INPUT_FAULTS, s1_scenario, table1_scenario
+from hdfactor import Panel, Scenario, _openblas, cli, estimate, generate, load_csv, save_csv
+from helpers import STUDY_INPUT_FAULTS, s1_scenario, s3_scenario, table1_scenario
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
-
+    """Run ``python -m hdfactor``; an ``env_extra`` value of None unsets that variable."""
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    for key, value in (env_extra or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run(
         [sys.executable, "-m", "hdfactor", *map(str, args)],
         capture_output=True,
@@ -298,14 +301,34 @@ def test_diagnose_non_integer_direction_is_a_bad_flag_exit_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_estimate_overflowing_panel_exits_1(tmp_path):
+def test_estimate_overflowing_panel_gives_the_unit_scale_count(tmp_path):
+    # The pooled matrix grows with the fourth power of the data, so it would
+    # overflow at this scale; the fit rescales the panel by a power of two.
     panel, _ = generate(table1_scenario(60, 8, seed=13))
-    path = tmp_path / "huge.csv"
-    save_csv(Panel(panel.values * 1e80), path, "rows-are-time")
-    proc = run_cli("estimate", path, "--k0", 1, "--out", tmp_path / "out")
+    counts = []
+    for name, scale in (("unit", 1.0), ("huge", 1e80)):
+        path = tmp_path / f"{name}.csv"
+        save_csv(Panel(panel.values * scale), path, "rows-are-time")
+        proc = run_cli("estimate", path, "--k0", 1, "--out", tmp_path / name)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(json.loads((tmp_path / name / "model.json").read_text())["r_hat"])
+    assert counts[0] == counts[1] == estimate(panel, k0=1).r_hat
+
+
+def test_diagnose_rejects_a_numerically_null_direction_with_exit_1(tmp_path):
+    # The centred panel has rank n - 1 = 99, so direction 100's eigenvalue is
+    # roundoff (about 3.5e-18 of the largest) and its projection has an rms
+    # just above 1e-12 of the panel's.
+    panel, _ = generate(s3_scenario(100, 300, seed=3))
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, "rows-are-time")
+    out = tmp_path / "out"
+    proc = run_cli("diagnose", path, "--directions", 100, "--out", out)
     assert proc.returncode == 1
-    assert "not finite" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("hdfactor: error: direction 100 is numerically null: "
+                           "its eigenvalue is at most 1e-12 of the largest\n")
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_simulate_table1_smoke(tmp_path):
@@ -547,25 +570,65 @@ def test_version_flag():
     assert "hdfactor" in proc.stdout
 
 
-def test_simulate_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
-    # OpenBLAS's thread count changes the bits of the lag-autocovariance
-    # products at this size, so the bytes only agree if studies fix it.
-    cfg = tmp_path / "trace.cfg"
-    cfg.write_text(
-        "study = ratio-trace\nn = 400\np = 200\nr = 3\ndeltas = 0.0\n"
-        "ar_coeffs = 0.6, -0.5, 0.3\n"
-    )
+# One command per output kind, at sizes where OpenBLAS's thread count
+# changes the bits of unheld lag products, QRs and eigensolves.
+THREAD_INVARIANCE_RUNS = {
+    "estimate": ("estimate", "panel.csv"),
+    "two-step": ("two-step", "panel.csv"),
+    "diagnose": ("diagnose", "panel.csv", "--two-step", "--max-lag", 6),
+    "simulate-table1": ("simulate", "--scenario", "table1.json", "--reps", 4, "--seed", 4),
+    "simulate-ratio-trace": ("simulate", "--scenario", "trace.json", "--reps", 6, "--seed", 4),
+    "simulate-two-step": ("simulate", "--scenario", "two.json", "--reps", 4, "--seed", 4),
+    "rates": ("rates", "--scenario", "rates.json", "--reps", 4, "--seed", 4),
+}
+THREAD_INVARIANCE_SCENARIOS = {
+    "table1.json": {"study": "table1", "n_grid": [400], "p_rules": [0.5]},
+    "trace.json": {"study": "ratio-trace", "n": 400, "p": 200, "r": 3, "deltas": [0.0],
+                   "ar_coeffs": [0.6, -0.5, 0.3]},
+    "two.json": {"study": "two-step", "n": 400, "p": 200, "r": 3, "deltas": [0.0, 0.0, 0.5],
+                 "ar_coeffs": [0.6, -0.5, 0.3]},
+    "rates.json": {"n": 300, "p": 150, "n_grid": [200, 300, 400], "p_coef": 0.5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_INVARIANCE_RUNS))
+def test_output_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path, name):
+    save_csv(generate(s3_scenario(100, 300, seed=1))[0], tmp_path / "panel.csv", "rows-are-time")
+    for file_name, config in THREAD_INVARIANCE_SCENARIOS.items():
+        (tmp_path / file_name).write_text(json.dumps(config))
     outputs = set()
-    for blas in ("1", "2"):
-        for workers in ("1", "2"):
-            out = tmp_path / f"blas{blas}-workers{workers}"
-            proc = run_cli("simulate", "--scenario", cfg, "--reps", 6, "--seed", 4, "--out", out,
-                           env_extra={"OPENBLAS_NUM_THREADS": blas, "HDFACTOR_THREADS": workers})
-            assert proc.returncode == 0, proc.stderr
-            result = [line for line in (out / "result.json").read_text().splitlines()
-                      if '"timestamp"' not in line]
-            outputs.add(((out / "traces.csv").read_bytes(), tuple(result)))
+    # Unset, then each BLAS thread count with each worker count.
+    for blas, workers in ((None, None), ("1", "2"), ("2", "1")):
+        out = tmp_path / f"blas{blas}-workers{workers}"
+        proc = run_cli(*THREAD_INVARIANCE_RUNS[name], "--out", out, cwd=tmp_path,
+                       env_extra={"OPENBLAS_NUM_THREADS": blas, "HDFACTOR_THREADS": workers})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(tuple(
+            (f.name, tuple(line for line in f.read_bytes().splitlines() if b'"timestamp"' not in line))
+            for f in sorted(out.iterdir())
+        ))
     assert len(outputs) == 1
+
+
+@pytest.mark.skipif(_openblas.threads_api() is None, reason="numpy's bundled OpenBLAS was not found")
+def test_cli_commands_run_single_thread_blas_and_restore_the_count(tmp_path, monkeypatch):
+    get_threads, set_threads = _openblas.threads_api()
+    seen, fit = [], cli.estimate
+
+    def spy(*args, **kwargs):
+        seen.append(get_threads())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate", spy)
+    path, _ = write_panel_csv(tmp_path, n=60, p=8)
+    original = get_threads()
+    set_threads(2)
+    try:
+        assert cli.main(["estimate", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+    assert seen == [1]
 
 
 # sha256 of model.json from `estimate` and `two-step` with default flags on

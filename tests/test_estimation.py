@@ -368,15 +368,20 @@ def test_two_step_wide_panel_second_pass_matches_dense_reference(n, p, k0, wc, r
 
 
 @pytest.mark.parametrize("n, p", [(60, 8), (30, 80)])
-def test_overflowing_panel_raises_domain_error(n, p):
+def test_overflowing_panel_gives_the_unit_scale_counts(n, p):
+    # At 1e80 the pooled matrix would overflow; the fits rescale the panel by
+    # a power of two and report eigenvalues past double range as inf.
     panel, _ = generate(table1_scenario(n, p, seed=57))
     huge = Panel(panel.values * 1e80)
-    with pytest.raises(DomainError, match="not finite"):
-        estimate(huge, k0=1)
-    with pytest.raises(DomainError, match="not finite"):
-        two_step_estimate(huge, k0=1)
-    with pytest.raises(DomainError, match="not finite"):
-        m_eigenvalues(huge.values, 1)
+    one, two = estimate(panel, k0=1), two_step_estimate(panel, k0=1)
+    huge_one, huge_two = estimate(huge, k0=1), two_step_estimate(huge, k0=1)
+    assert huge_one.r_hat == one.r_hat
+    assert (huge_two.r1_hat, huge_two.r2_hat) == (two.r1_hat, two.r2_hat)
+    assert np.isposinf(huge_one.eigenvalues[0])
+    assert_allclose(huge_one.factors, one.factors * 1e80, rtol=1e-10, atol=1e-10 * 1e80)
+    span = default_ratio_span(p)
+    assert ratio_estimate(m_eigenvalues(huge.values, 1), span)[0] == \
+        ratio_estimate(m_eigenvalues(panel.values, 1), span)[0]
 
 
 # ---------------------------------------------------------------- two-step fit

@@ -7,8 +7,26 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hdfactor import Panel, _openblas, cli, generate, m_eigenvalues, save_csv, simulation, sym_eigen
-from helpers import STUDY_INPUT_FAULTS, assert_second_pass_matches_dense_reference, table1_scenario
+from hdfactor import (
+    Panel,
+    _openblas,
+    cli,
+    default_ratio_span,
+    estimate,
+    generate,
+    m_eigenvalues,
+    ratio_estimate,
+    save_csv,
+    sym_eigen,
+    two_step_estimate,
+)
+from helpers import (
+    STUDY_INPUT_FAULTS,
+    assert_second_pass_matches_dense_reference,
+    random_orthogonal,
+    s1_scenario,
+    table1_scenario,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -26,6 +44,47 @@ st = hypothesis.strategies
 def test_two_step_wide_second_pass_matches_dense_reference(n, extra, k0, wc, r1, seed):
     panel, _ = generate(table1_scenario(n, n + extra, seed=seed))
     assert_second_pass_matches_dense_reference(panel, k0, wc, r1)
+
+
+# ---------------------------------------------------------------- invariances
+
+def _counts(values, k0, wc):
+    """Counts of both fits and the ratio count of ``m_eigenvalues``."""
+    panel = Panel(values)
+    two = two_step_estimate(panel, k0, window_centering=wc)
+    lam = m_eigenvalues(values, k0, window_centering=wc)
+    return (estimate(panel, k0, window_centering=wc).r_hat, two.r1_hat, two.r2_hat,
+            ratio_estimate(lam, default_ratio_span(panel.p))[0])
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(
+    n=st.integers(20, 60),
+    p=st.integers(3, 90),
+    k0=st.integers(1, 3),
+    wc=st.booleans(),
+    k=st.integers(-300, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@hypothesis.example(n=40, p=12, k0=1, wc=False, k=300, seed=1)
+@hypothesis.example(n=40, p=70, k0=2, wc=True, k=-300, seed=2)
+def test_counts_do_not_change_when_the_panel_is_scaled_by_a_power_of_two(n, p, k0, wc, k, seed):
+    values = generate(table1_scenario(n, p, seed=seed))[0].values
+    assert _counts(np.ldexp(values, k), k0, wc) == _counts(values, k0, wc)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@hypothesis.given(
+    n=st.integers(60, 150),
+    p=st.integers(3, 200),
+    strong=st.sampled_from([s1_scenario, table1_scenario]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_do_not_change_when_the_panel_is_rotated(n, p, strong, seed):
+    # X -> U X with U orthogonal maps the pooled matrix to U M U', so the
+    # spectrum, and every count taken from it, stays the same.
+    values = generate(strong(n, p, seed=seed))[0].values
+    assert _counts(random_orthogonal(p, seed) @ values, 1, False) == _counts(values, 1, False)
 
 
 # ---------------------------------------------------------------- pooled eigensolver
@@ -71,7 +130,7 @@ def _same_bytes(got, want):
 )
 def test_solver_matches_numpy_bit_for_bit(size, kind, seed):
     m = _symmetric(size, kind, seed)
-    for blas in (contextlib.nullcontext(), simulation._single_thread_blas):
+    for blas in (contextlib.nullcontext(), _openblas.single_thread_blas):
         with blas:
             for vectors in (True, False):
                 want = _numpy_eigh(m, vectors)

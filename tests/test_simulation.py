@@ -23,7 +23,7 @@ from hdfactor import (
     run_table1,
     two_step_study,
 )
-from hdfactor import simulation
+from hdfactor import _openblas, simulation
 from helpers import s1_scenario, s3_scenario, table1_scenario
 
 
@@ -401,7 +401,7 @@ def test_two_step_study_deterministic_across_workers():
 
 # ---------------------------------------------------------------- thread budget
 
-BLAS_API = simulation._openblas.threads_api()
+BLAS_API = _openblas.threads_api()
 
 
 def test_worker_count_defaults_to_the_affinity_mask(monkeypatch):
@@ -466,7 +466,7 @@ def test_blas_hold_survives_many_overlapping_holders(blas_at_two_threads):
 
     def hold():
         for _ in range(3000):
-            with simulation._single_thread_blas:
+            with _openblas.single_thread_blas:
                 if blas_at_two_threads is not None:
                     inside.append(blas_at_two_threads())
 
@@ -481,7 +481,7 @@ def test_blas_hold_survives_many_overlapping_holders(blas_at_two_threads):
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert simulation._single_thread_blas._holders == 0
+    assert _openblas.single_thread_blas._holders == 0
     if blas_at_two_threads is not None:
         assert set(inside) == {1}
         assert blas_at_two_threads() == 2
@@ -526,7 +526,7 @@ def test_studies_run_single_thread_blas_and_restore_the_count(monkeypatch, blas_
     assert get_threads() == 2
     # A study nested in another hold leaves the count pinned until the
     # outer hold ends.
-    with simulation._single_thread_blas:
+    with _openblas.single_thread_blas:
         attempt()
         assert get_threads() == 1
     assert get_threads() == 2
