@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .estimation import RATIO_FLOOR, FactorModel, _lag_covs
+from .estimation import RATIO_FLOOR, FactorModel, _lag_covs, _unit_scale
 from .panel import Panel
 
 __all__ = [
@@ -47,7 +47,9 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
 
     Each series is centered by its own mean; the normalization uses the
     full-sample standard deviations (divisor n), which bounds every value
-    by one in magnitude.
+    by one in magnitude.  The correlations do not depend on scale, so
+    series outside [2^-64, 2^64] are first rescaled as the fits rescale
+    them (``estimation._unit_scale``).
 
     Raises
     ------
@@ -76,6 +78,7 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
     for i, s in enumerate(spread):
         if s == 0.0:
             raise DomainError(f"series {series_ids[i]!r} is constant; autocorrelation is undefined")
+    x = _unit_scale(x)[0]
     # The scale stays a mean of squares: the lag-0 diagonal holds the same sums
     # added in BLAS order, which differs in the last bits.
     centered = x - x.mean(axis=1, keepdims=True)
@@ -147,12 +150,15 @@ def variance_explained(model: FactorModel, panel: Panel) -> np.ndarray:
     The share of direction ``g`` is the quadratic form ``g' S g`` over the
     trace of S, where S is the lag-0 sample covariance of the centered
     panel.  Orthonormal directions make the shares sum to at most one.
+    The shares do not depend on scale, so a panel outside [2^-64, 2^64] is
+    first rescaled as the fits rescale it.
     """
     if panel.p != model.loadings.shape[0]:
         raise DimensionError(
             f"panel has {panel.p} series but model was fit on {model.loadings.shape[0]}"
         )
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    values = _unit_scale(panel.values)[0]
+    centered = values - values.mean(axis=1, keepdims=True)
     total = (centered**2).mean(axis=1).sum()
     if total == 0.0:
         raise DomainError("panel has zero total variance")

@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import _openblas
 from .errors import DimensionError, DomainError
 from .panel import Panel
 
@@ -213,11 +212,6 @@ def sym_eigen(m: np.ndarray) -> EigenSystem:
     The sign of each eigenvector is fixed deterministically: its entry of
     largest magnitude (lowest index on ties) is made positive, so results
     are reproducible across runs and platforms.
-
-    The solve is LAPACK ``dsyevd``, called as ``np.linalg.eigh`` calls it
-    and with the same bits, but through numpy's bundled OpenBLAS directly,
-    which releases the interpreter lock so that threads solve side by side.
-    Where that library is absent it is ``np.linalg.eigh`` itself.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -226,7 +220,7 @@ def sym_eigen(m: np.ndarray) -> EigenSystem:
     if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
         raise DomainError("matrix is not symmetric within 1e-10 relative tolerance")
     m = (m + m.T) / 2
-    values, vectors = _openblas.eigh(m, vectors=True)  # ascending
+    values, vectors = np.linalg.eigh(m)  # ascending
     values = values[::-1].copy()
     vectors = _normalize_signs(vectors[:, ::-1])
     return EigenSystem(eigenvalues=values, eigenvectors=vectors)
@@ -290,7 +284,7 @@ def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vecto
         system = sym_eigen(m)
         lam, coord_vectors = system.eigenvalues, system.eigenvectors
     else:
-        lam, coord_vectors = _openblas.eigh(m, vectors=False)[0][::-1], None
+        lam, coord_vectors = np.linalg.eigvalsh(m)[::-1], None
     if p > lam.size:
         # Clipping roundoff negatives keeps the padded spectrum descending.
         lam = np.concatenate([np.clip(lam, 0.0, None), np.zeros(p - lam.size)])
@@ -356,16 +350,15 @@ def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False
     """Descending spectrum of the pooled matrix, skipping eigenvector work.
 
     Fast path for the Monte Carlo studies, which need only the spectrum.
-    It solves for eigenvalues alone (LAPACK ``dsyevd`` with no vectors, the
-    bits of ``np.linalg.eigvalsh``) where ``estimate`` also forms the
-    eigenvectors for its loadings; at the studies' sizes (p = 20 to 200)
-    the vectors cost 2 to 3 times as much, so both modes stay.  The two
+    It solves for eigenvalues alone (``np.linalg.eigvalsh``) where
+    ``estimate`` also forms the eigenvectors for its loadings; at the
+    studies' sizes (p = 20 to 200) the vectors cost 2 to 3 times as much,
+    so both modes stay.  The two
     agree in exact arithmetic but not bitwise: their spectra differ by
     roundoff, within 1e-12 of the largest eigenvalue, and give the same
     factor count on a seeded Table-1 grid (pinned by the tests).  For p > n
     the entries past n are exact zeros, and only the R of the panel's QR
-    is formed.  Like ``sym_eigen``, the solve releases the interpreter
-    lock, so replications in a thread pool overlap their eigensolves.
+    is formed.
 
     For a panel that ``_unit_scale`` rescales by 2^-e (its largest |value|
     lies outside [2^-64, 2^64]), the spectrum is that of the rescaled
@@ -523,4 +516,4 @@ def population_m(loadings: np.ndarray, ar_coeffs: Sequence[float], k0: int):
         raise DomainError(f"k0 must be a positive integer, got {k0}")
     var0 = 1.0 / (1.0 - theta**2)
     m = _pool((loadings * (theta**k * var0)) @ loadings.T for k in range(1, int(k0) + 1))
-    return m, _openblas.eigh(m, vectors=False)[0][::-1]
+    return m, np.linalg.eigvalsh(m)[::-1]

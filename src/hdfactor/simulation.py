@@ -4,14 +4,17 @@ eigenvalue-error studies, ratio traces, and one-step vs two-step comparisons.
 Replications are independent: each one draws its own generator seeded from
 the base seed and the replication's coordinates (cell parameters and rep
 index), so results do not depend on execution order or worker count, and
-reruns are bit-identical.  A study submits every replication of every cell
-to one thread pool, and the threads overlap: the pooled eigensolve calls
-LAPACK with the interpreter lock released (see ``estimation.sym_eigen``),
-as do numpy's matrix products.
+reruns are bit-identical.  A study forks one worker process per worker
+and gives worker k every workers-th replication from the k-th, so every
+cell is split evenly; the parent puts the results back in order.  Workers
+are forked, not spawned, so they run the module's functions as they are
+when the study starts.  Where ``os.fork`` is missing, and with one
+worker, replications run in the calling process.
 
 Studies run BLAS single-threaded: while one runs, numpy's bundled OpenBLAS
-is held at one thread (``_openblas.single_thread_blas``) and the
-replication pool supplies the parallelism.
+is held at one thread (``_openblas.single_thread_blas``), the workers,
+forked inside the hold, inherit that setting, and the worker processes
+supply the parallelism.
 OpenBLAS's thread count changes result bits at study sizes, so this also
 makes study outputs independent of ``HDFACTOR_THREADS``,
 ``OPENBLAS_NUM_THREADS`` and the core count.  With a numpy built against
@@ -24,15 +27,16 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pickle
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from . import _openblas
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, HDFactorError
 from .estimation import (
     default_ratio_span,
     m_eigenvalues,
@@ -213,7 +217,7 @@ def _delta_code(delta: float) -> int:
 
 
 def worker_count() -> int:
-    """Worker cap for replication pools, from HDFACTOR_THREADS when set.
+    """Worker cap for a study's worker processes, from HDFACTOR_THREADS when set.
 
     Otherwise the number of CPUs this process may run on.
     """
@@ -267,9 +271,9 @@ def _replicate(cells: list, reps: int, workers: Optional[int], measure: Callable
 
     Each cell is a ``(scenario, coords)`` pair.  Replication ``rep`` draws
     its panel from the seed derived from the scenario's seed, ``coords`` and
-    ``rep``, and returns ``measure(scn, panel)``.  Every replication of
-    every cell is one job in one pool, so no cell waits at a barrier for the
-    slowest replication of the cell before it.
+    ``rep``, and returns ``measure(scn, panel)``.  With more than one
+    worker and more than one replication, ``_forked`` runs them in worker
+    processes, never more workers than replications.
     """
     if not cells:
         raise DomainError("need at least one grid cell")
@@ -283,13 +287,95 @@ def _replicate(cells: list, reps: int, workers: Optional[int], measure: Callable
         return measure(scn, panel)
 
     jobs = list(itertools.product(cells, range(reps)))
-    workers = worker_count() if workers is None else max(1, int(workers))
-    if len(jobs) == 1 or workers == 1:
+    workers = min(len(jobs), worker_count() if workers is None else max(1, int(workers)))
+    if workers == 1 or not hasattr(os, "fork"):
         results = [run(job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+        # numpy imports numpy.random on first use, which takes about 50 ms:
+        # once here, in the parent, rather than in every worker of every study.
+        import numpy.random  # noqa: F401
+        results = _forked(run, jobs, workers)
     return [results[i * reps:(i + 1) * reps] for i in range(len(cells))]
+
+
+# Held while a study creates its pipes and forks, so that no worker of a
+# study in another thread inherits a pipe's write end.  Such a copy holds
+# off that pipe's end of file until the other study's worker exits, and
+# two studies whose workers each wait on a full pipe would wait for ever.
+_FORK_LOCK = threading.Lock()
+
+
+def _forked(run: Callable, jobs: list, workers: int) -> list:
+    """``[run(job) for job in jobs]``, computed by ``workers`` forked processes.
+
+    Worker k runs ``jobs[k::workers]`` and sends back, through a pipe, its
+    pickled results or the exception that stopped it; the parent re-raises
+    that exception.  Every worker is reaped before this returns or raises,
+    and killed first when the parent stops early (an exception or an
+    interrupt while it waits).
+
+    Raises
+    ------
+    HDFactorError
+        If a worker ends without sending anything, naming the worker.
+    """
+    import signal
+
+    children, payloads = [], []
+    try:
+        with _FORK_LOCK:
+            for k in range(workers):
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    os.close(read_end)
+                    _worker(run, jobs[k::workers], write_end)
+                children.append((pid, os.fdopen(read_end, "rb")))
+                os.close(write_end)
+        payloads = [reader.read() for _, reader in children]
+    finally:
+        statuses = []
+        for pid, reader in children:
+            reader.close()
+            if len(payloads) < len(children):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results = [None] * len(jobs)
+    for k, ((pid, _), payload, code) in enumerate(zip(children, payloads, statuses)):
+        if code != 0 or not payload:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise HDFactorError(f"replication worker {k} (pid {pid}) ended without a result ({how})")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results[k::workers] = value
+    return results
+
+
+def _worker(run: Callable, jobs: list, write_end: int) -> NoReturn:
+    """A forked worker's whole life: run ``jobs``, send ``(ok, results or exception)``, exit.
+
+    It leaves through ``os._exit``, so it never returns into the parent's
+    code and never flushes stdio buffers it inherited.  Exit status 0 means
+    the payload was sent in full.
+    """
+    code = 1
+    try:
+        try:
+            payload = True, [run(job) for job in jobs]
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            payload = False, exc
+        data = pickle.dumps(payload)
+        with os.fdopen(write_end, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _spectrum(scn: Scenario, panel: Panel) -> np.ndarray:

@@ -349,6 +349,22 @@ def test_simulate_table1_smoke(tmp_path):
     assert (out / "cells.csv").exists()
 
 
+def test_simulate_exits_1_with_a_message_when_a_worker_dies(tmp_path):
+    scenario = tmp_path / "grid.json"
+    scenario.write_text(json.dumps({"study": "table1", "deltas": [0.0], "n_grid": [50],
+                                    "p_rules": [0.2]}))
+    code = ("import os, sys; from hdfactor import cli, simulation; "
+            "simulation.generate = lambda scn: os._exit(3); "
+            f"sys.exit(cli.main(['simulate', '--scenario', {str(scenario)!r}, '--reps', '4', "
+            f"'--out', {str(tmp_path / 'sim')!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "HDFACTOR_THREADS": "2"}, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("hdfactor: error: replication worker ")
+    assert proc.stderr.rstrip().endswith("ended without a result (exit status 3)")
+
+
 def test_simulate_ratio_trace_and_two_step(tmp_path):
     ratio_cfg = tmp_path / "trace.cfg"
     ratio_cfg.write_text(

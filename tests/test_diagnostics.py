@@ -162,6 +162,20 @@ def test_variance_explained_zero_panel_errors():
         variance_explained(model, Panel(np.zeros((6, 100)) + 0.0))
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_diagnostics_past_the_square_range_match_the_unit_panel(scale):
+    # Squares of these values overflow or underflow; the diagnostics must not.
+    panel, _ = generate(table1_scenario(200, 10, seed=10))
+    base = estimate(panel, k0=1)
+    scaled_panel = Panel(panel.values * scale)
+    scaled = estimate(scaled_panel, k0=1)
+    assert scaled.r_hat == base.r_hat
+    assert_allclose(variance_explained(scaled, scaled_panel), variance_explained(base, panel),
+                    rtol=1e-12)
+    assert_allclose(cross_acf(scaled.factors, 5).acf, cross_acf(base.factors, 5).acf,
+                    rtol=1e-12, atol=1e-14)
+
+
 # ---------------------------------------------------------------- projection ratio
 
 def test_projection_ratio_of_factor_row_is_zero():

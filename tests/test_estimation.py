@@ -21,7 +21,7 @@ from hdfactor import (
     sym_eigen,
     two_step_estimate,
 )
-from hdfactor import _openblas, estimation
+from hdfactor import estimation
 from helpers import (
     assert_second_pass_matches_dense_reference,
     dense_reference,
@@ -546,23 +546,22 @@ def test_scale_equivariance_fourth_power():
 # ---------------------------------------------------------------- concurrent eigensolves
 
 def test_concurrent_eigensolves_equal_their_serial_results():
-    # More threads than cores and a tiny switch interval: every solve, with
-    # the interpreter lock released inside LAPACK, must keep its bits.
+    # More threads than cores and a tiny switch interval: every solve must
+    # keep its bits.
     rng = np.random.default_rng(91)
     jobs = []
     for size in (8, 24, 40, 64, 100, 150):
         x = rng.standard_normal((size, size + 5))
-        jobs.append(((x @ x.T) / size, size % 2 == 0))
-    serial = [_openblas.eigh(m, vectors) for m, vectors in jobs]
+        jobs.append((x @ x.T) / size)
+    serial = [sym_eigen(m) for m in jobs]
     mismatches, errors = [], []
 
     def solve(index):
-        m, vectors = jobs[index]
         try:
             for _ in range(30):
-                values, vecs = _openblas.eigh(m, vectors)
-                if values.tobytes() != serial[index][0].tobytes() or (
-                        vectors and vecs.tobytes() != serial[index][1].tobytes()):
+                system = sym_eigen(jobs[index])
+                if (system.eigenvalues.tobytes() != serial[index].eigenvalues.tobytes()
+                        or system.eigenvectors.tobytes() != serial[index].eigenvectors.tobytes()):
                     mismatches.append(index)
         except Exception as exc:  # reported below, in the test's thread
             errors.append(exc)

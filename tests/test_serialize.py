@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hdfactor import ParseError, cross_acf, estimate, generate, two_step_estimate
+from hdfactor import Panel, ParseError, cross_acf, estimate, generate, two_step_estimate
 from hdfactor.serialize import (
     _FLOAT_CHUNK,
     acf_rows,
@@ -174,6 +174,15 @@ def test_model_to_dict_one_step():
     assert doc["loadings"]["data"][:cols] == [float(v) for v in model.loadings[0]]
     assert "rms" in doc["residual_summary"]
     assert "r1_hat" not in doc
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_model_to_dict_residual_rms_past_the_square_range(scale):
+    panel, _ = generate(table1_scenario(200, 10, seed=10))
+    base = model_to_dict(estimate(panel, k0=1))["residual_summary"]
+    scaled = model_to_dict(estimate(Panel(panel.values * scale), k0=1))["residual_summary"]
+    for key in ("rms", "max_abs"):
+        assert math.isclose(scaled[key], base[key] * scale, rel_tol=1e-12)
 
 
 def test_model_to_dict_two_step_fields():

@@ -1,8 +1,11 @@
 import hashlib
 import os
 import re
+import signal
+import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +15,7 @@ from numpy.testing import assert_allclose
 from hdfactor import (
     DomainError,
     EigenErrorStudy,
+    HDFactorError,
     McResult,
     Scenario,
     derive_seed,
@@ -490,16 +494,19 @@ def test_blas_hold_survives_many_overlapping_holders(blas_at_two_threads):
 @pytest.mark.skipif(BLAS_API is None, reason="numpy's bundled OpenBLAS was not found")
 @pytest.mark.parametrize("study", ["table1", "eigen-error", "two-step"])
 @pytest.mark.parametrize("raising", [False, True], ids=["returns", "raises"])
-def test_studies_run_single_thread_blas_and_restore_the_count(monkeypatch, blas_at_two_threads,
-                                                              study, raising):
+def test_studies_run_single_thread_blas_and_restore_the_count(monkeypatch, tmp_path,
+                                                              blas_at_two_threads, study, raising):
     get_threads = blas_at_two_threads
-    seen = []
+    # Replications run in worker processes, so the spies report through a
+    # file that every process appends to.
+    log = tmp_path / "seen.txt"
 
     def spy(name, fails):
         real = getattr(simulation, name)
 
         def call(*args):
-            seen.append((name, get_threads()))
+            with open(log, "a") as handle:
+                handle.write(f"{name} {get_threads()}\n")
             if fails:
                 raise RuntimeError("replication failed")
             return real(*args)
@@ -530,5 +537,116 @@ def test_studies_run_single_thread_blas_and_restore_the_count(monkeypatch, blas_
         attempt()
         assert get_threads() == 1
     assert get_threads() == 2
+    seen = [(name, int(count)) for name, count in map(str.split, log.read_text().splitlines())]
     assert {count for _, count in seen} == {1}
     assert ("population_m" in {name for name, _ in seen}) == (study == "eigen-error")
+
+
+# ---------------------------------------------------------------- worker processes
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _table1_with(monkeypatch, draw, workers=2, reps=4):
+    """``run_table1`` on one small cell with ``draw(scn)`` in place of ``generate``."""
+    monkeypatch.setattr(simulation, "generate", draw)
+    return run_table1([0.0], [60], [0.2], reps=reps, base_seed=5, workers=workers)
+
+
+def test_a_worker_exception_reaches_the_caller_with_its_type_and_message(monkeypatch):
+    # Rep 3 is the second worker's; the first worker's replications succeed.
+    failing = derive_seed(5, 0, 60, 12, 3)
+    real = simulation.generate
+
+    def draw(scn):
+        if scn.seed == failing:
+            raise LookupError(f"no panel for seed {scn.seed}")
+        return real(scn)
+
+    with pytest.raises(LookupError) as caught:
+        _table1_with(monkeypatch, draw)
+    assert type(caught.value) is LookupError
+    assert str(caught.value) == f"no panel for seed {failing}"
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {signal.SIGKILL.value}"),
+], ids=["exits", "killed"])
+def test_a_worker_that_dies_without_a_result_is_named(monkeypatch, death, how):
+    parent = os.getpid()
+    outcome = []
+
+    def draw(scn):
+        if os.getpid() == parent:
+            raise AssertionError("a replication ran in the calling process")
+        death()
+
+    def run():
+        try:
+            _table1_with(monkeypatch, draw)
+        except Exception as exc:  # checked below, in the test's thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(outcome) == 1 and isinstance(outcome[0], HDFactorError), outcome
+    assert re.fullmatch(rf"replication worker [01] \(pid \d+\) ended without a result \({how}\)",
+                        str(outcome[0]))
+    _assert_no_child_left()
+
+
+def test_an_interrupted_study_kills_and_reaps_its_workers(monkeypatch):
+    def draw(scn):
+        time.sleep(60)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            _table1_with(monkeypatch, draw)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_a_study_starts_at_most_one_worker_per_replication(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cells = _table1_with(monkeypatch, simulation.generate, workers=8, reps=3)
+    assert len(forks) == 3
+    assert cells == run_table1([0.0], [60], [0.2], reps=3, base_seed=5, workers=1)
+    _assert_no_child_left()
+
+
+def test_a_finished_study_leaves_no_child_process():
+    run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=2)
+    _assert_no_child_left()
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    code = ("import sys, hdfactor.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
