@@ -638,6 +638,51 @@ def test_a_study_starts_at_most_one_worker_per_replication(monkeypatch):
     _assert_no_child_left()
 
 
+def test_only_forked_workers_keep_freed_memory(monkeypatch, tmp_path):
+    log = tmp_path / "seen.txt"
+    real_keep, real_generate = simulation._keep_freed_memory, simulation.generate
+
+    def logged(name, real):
+        def call(*args):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {name}\n")
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(simulation, "_keep_freed_memory", logged("keep", real_keep))
+    monkeypatch.setattr(simulation, "generate", logged("generate", real_generate))
+    run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=2)
+    seen = [line.split() for line in log.read_text().splitlines()]
+    pids = {pid for pid, _ in seen}
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+    for pid in pids:
+        # Once per worker, before its first replication.
+        assert [name for p, name in seen if p == pid] == ["keep", "generate", "generate"]
+    log.unlink()
+    run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=1)
+    two_step_study(s3_scenario(100, 20, seed=5), reps=1, workers=2)
+    assert {name for _, name in (line.split() for line in log.read_text().splitlines())} == {
+        "generate"}
+
+
+@pytest.mark.parametrize("refuses", [False, True], ids=["no-mallopt", "mallopt-returns-0"])
+def test_a_study_runs_the_same_where_malloc_cannot_keep_freed_memory(monkeypatch, tmp_path,
+                                                                     refuses):
+    log = tmp_path / "calls.txt"
+
+    def refusing(param, value):
+        with open(log, "a") as handle:
+            handle.write(f"{param} {value}\n")
+        return 0
+
+    monkeypatch.setattr(simulation, "_mallopt", lambda: refusing if refuses else None)
+    cells = run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=2)
+    assert cells == run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=1)
+    if refuses:  # a refused first setting stops the second, in each worker
+        assert log.read_text().splitlines() == [f"-3 {32 << 20}"] * 2
+    _assert_no_child_left()
+
+
 def test_a_finished_study_leaves_no_child_process():
     run_table1([0.0], [60], [0.2], reps=4, base_seed=5, workers=2)
     _assert_no_child_left()
