@@ -164,13 +164,13 @@ def cmd_fit(args) -> int:
 def cmd_diagnose(args) -> int:
     # Every diagnostic and check runs before anything is written or printed,
     # so a failing run leaves no partial output.
-    panel, model = _fit(args)
+    model = _fit(args)[1]
     factor_acf = cross_acf(model.factors, args.max_lag,
                            series_ids=[f"factor{i + 1}" for i in range(model.r_hat)])
-    shares = variance_explained(model, panel)
+    shares = variance_explained(model)
     extras = {"variance_explained": [float(v) for v in shares]}
     if args.directions:
-        residual_acf = residual_projection_acf(model, panel, args.directions, args.max_lag)
+        residual_acf = residual_projection_acf(model, args.directions, args.max_lag)
     if args.project:
         series = load_csv(args.project, ORIENTATION_FLAGS[args.orientation])
         if series.p != 1:

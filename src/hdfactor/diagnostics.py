@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .estimation import RATIO_FLOOR, FactorModel, _lag_covs, _unit_scale
-from .panel import Panel
 
 __all__ = [
     "AcfReport",
@@ -74,11 +73,11 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
         if len(series_ids) != m:
             raise DimensionError(f"got {len(series_ids)} ids for {m} series")
 
+    x = _unit_scale(x)[0]
     spread = x.max(axis=1) - x.min(axis=1)
     for i, s in enumerate(spread):
         if s == 0.0:
             raise DomainError(f"series {series_ids[i]!r} is constant; autocorrelation is undefined")
-    x = _unit_scale(x)[0]
     # The scale stays a mean of squares: the lag-0 diagonal holds the same sums
     # added in BLAS order, which differs in the last bits.
     centered = x - x.mean(axis=1, keepdims=True)
@@ -94,10 +93,9 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
     )
 
 
-def residual_projection_acf(
-    model: FactorModel, panel: Panel, directions: Sequence[int], max_lag: int
-) -> AcfReport:
-    """Cross-ACF of the panel projected on post-factor eigen-directions.
+def residual_projection_acf(model: FactorModel, directions: Sequence[int],
+                            max_lag: int) -> AcfReport:
+    """Cross-ACF of the fitted panel projected on post-factor eigen-directions.
 
     ``directions`` are 1-based eigenvalue indices of the fitted spectrum;
     each must exceed the estimated factor count (indices at or below it
@@ -107,15 +105,11 @@ def residual_projection_acf(
 
     A direction whose eigenvalue is at or below ``RATIO_FLOOR`` (1e-12) of
     the largest is numerically null, the same zero the ratio rule masks:
-    its projection is roundoff, so it is rejected.  The rule reads the
-    fit's reported eigenvalues; past double range, where those are inf or
-    0, it rejects every direction.
+    its projection is roundoff, so it is rejected.  The projections and
+    the rule read the fit's unit-scale panel and spectrum, so they work
+    at any scale; the autocorrelations do not depend on it.
     """
-    if model.eigenvectors is None:
-        raise DomainError("model carries no eigenvectors; refit before projecting")
-    p, computed = model.eigenvectors.shape
-    if panel.p != p:
-        raise DimensionError(f"panel has {panel.p} series but model was fit on {p}")
+    computed = model.eigenvectors.shape[1]
     directions = [int(d) for d in directions]
     for d in directions:
         if d <= model.r_hat:
@@ -126,17 +120,15 @@ def residual_projection_acf(
             raise DomainError(
                 f"direction {d} exceeds the {computed} eigen-directions the fit holds (min(p, n))"
             )
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    basis = model.eigenvectors[:, [d - 1 for d in directions]]
-    series = basis.T @ centered
-    panel_rms = np.sqrt((centered**2).mean())
+    series = model.eigenvectors[:, [d - 1 for d in directions]].T @ model._centered
+    panel_rms = np.sqrt((model._centered**2).mean())
     series_rms = np.sqrt((series**2).mean(axis=1))
     for d, rms in zip(directions, series_rms):
         if rms <= 1e-12 * panel_rms:
             raise DomainError(
                 f"projection on direction {d} has zero variance relative to the panel"
             )
-        if model.eigenvalues[d - 1] <= RATIO_FLOOR * model.eigenvalues[0]:
+        if model._unit_eigenvalues[d - 1] <= RATIO_FLOOR * model._unit_eigenvalues[0]:
             raise DomainError(
                 f"direction {d} is numerically null: its eigenvalue is at most "
                 f"{RATIO_FLOOR:g} of the largest"
@@ -144,26 +136,17 @@ def residual_projection_acf(
     return cross_acf(series, max_lag, series_ids=[f"eig{d}" for d in directions])
 
 
-def variance_explained(model: FactorModel, panel: Panel) -> np.ndarray:
+def variance_explained(model: FactorModel) -> np.ndarray:
     """Share of total variance carried by each estimated factor direction.
 
     The share of direction ``g`` is the quadratic form ``g' S g`` over the
     trace of S, where S is the lag-0 sample covariance of the centered
     panel.  Orthonormal directions make the shares sum to at most one.
-    The shares do not depend on scale, so a panel outside [2^-64, 2^64] is
-    first rescaled as the fits rescale it.
+    The shares do not depend on scale, so they are computed from the
+    fit's unit-scale panel.
     """
-    if panel.p != model.loadings.shape[0]:
-        raise DimensionError(
-            f"panel has {panel.p} series but model was fit on {model.loadings.shape[0]}"
-        )
-    values = _unit_scale(panel.values)[0]
-    centered = values - values.mean(axis=1, keepdims=True)
-    total = (centered**2).mean(axis=1).sum()
-    if total == 0.0:
-        raise DomainError("panel has zero total variance")
-    projected = model.loadings.T @ centered
-    return (projected**2).mean(axis=1) / total
+    total = (model._centered**2).mean(axis=1).sum()
+    return (model._unit_factors**2).mean(axis=1) / total
 
 
 def projection_residual_ratio(u, factors) -> float:
@@ -173,11 +156,10 @@ def projection_residual_ratio(u, factors) -> float:
     span of ``factors`` (r x n) inside R^n and returns the squared-norm
     ratio, a value in [0, 1]: zero means the series is a linear
     combination of the factor series, one means it is orthogonal to them.
+    Neither input's scale matters, so each is first rescaled as fits are.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    f = np.asarray(factors, dtype=float)
-    if f.ndim == 1:
-        f = f[None, :]
+    u = _unit_scale(np.asarray(u, dtype=float).ravel())[0]
+    f = _unit_scale(np.atleast_2d(np.asarray(factors, dtype=float)))[0]
     if f.shape[1] != u.size:
         raise DimensionError(
             f"series length {u.size} does not match factor length {f.shape[1]}"
@@ -188,6 +170,5 @@ def projection_residual_ratio(u, factors) -> float:
     basis, sv, _ = np.linalg.svd(f.T, full_matrices=False)
     if np.any(sv <= 1e-10 * sv[0]):
         raise DomainError("factor rows are rank deficient; the projection is ill-defined")
-    coef = basis.T @ u
-    residual = u - basis @ coef
+    residual = u - basis @ (basis.T @ u)
     return float(min(max(residual @ residual / norm_sq, 0.0), 1.0))

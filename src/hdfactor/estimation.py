@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -107,28 +108,51 @@ class FactorModel:
     beyond the first n (null directions of the pooled matrix) are not
     formed.
 
-    Factors and residuals are in the panel's units and eigenvalues in
-    their fourth power; counts, ratios and loadings do not depend on the
-    data's scale (see ``_unit_scale``).  A value past double range is
-    reported as IEEE arithmetic gives it: ``inf`` above about 1.8e308,
-    0 below about 5e-324.
+    The model keeps its centered panel and spectrum at unit scale (see
+    ``_unit_scale``), so counts, ratios, loadings and diagnostics do not
+    depend on the data's scale.  ``factors``, ``residuals`` and
+    ``residual_rms`` are formed from them on first read and cached, in the
+    panel's units (eigenvalues in their fourth power).  A value past
+    double range is reported as IEEE arithmetic gives it: ``inf`` above
+    about 1.8e308, 0 below about 5e-324.
     """
 
     r_hat: int
     loadings: np.ndarray
-    factors: np.ndarray
-    residuals: np.ndarray
     eigenvalues: np.ndarray
     ratios: np.ndarray
     k0: int
     ratio_span: int
+    eigenvectors: np.ndarray = field(repr=False)
+    _centered: np.ndarray = field(repr=False)          # the centered panel times 2**-_exponent
+    _unit_eigenvalues: np.ndarray = field(repr=False)  # its pooled spectrum
+    _exponent: int = field(repr=False)
     method: str = "one-step"
     r1_hat: Optional[int] = None
     r2_hat: Optional[int] = None
     eigenvalues_step2: Optional[np.ndarray] = None
     ratios_step2: Optional[np.ndarray] = None
     step2_no_sharp_minimum: Optional[bool] = None
-    eigenvectors: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def _unit_factors(self) -> np.ndarray:
+        return self.loadings.T @ self._centered
+
+    @cached_property
+    def _unit_residuals(self) -> np.ndarray:
+        return self._centered - self.loadings @ self._unit_factors
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        return _in_units(self._unit_factors, self._exponent)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return _in_units(self._unit_residuals, self._exponent)
+
+    @cached_property
+    def residual_rms(self) -> float:
+        return float(_in_units(np.sqrt((self._unit_residuals**2).mean()), self._exponent))
 
 
 def _validate_lag(n: int, k: int, largest: bool = False) -> None:
@@ -392,11 +416,12 @@ def _first_pass(panel: Panel, k0, ratio_span, window_centering) -> _FirstPass:
     k0 = int(k0)
     values, e = _unit_scale(panel.values)
     centered = values - values.mean(axis=1, keepdims=True)
+    if not centered.any():
+        # A wide panel's span coordinates would keep the roundoff of their own centring.
+        raise DomainError("degenerate spectrum: the panel has zero variance")
     basis, coords = _span(values)
     lam, coord_vectors = _pooled_eigen(coords, panel.p, k0, window_centering)
     if panel.p == 1:
-        if float(centered[0] @ centered[0] / panel.n) < 1e-300:
-            raise DomainError("degenerate spectrum: the single series has zero variance")
         span, r_hat, ratios = 0, 1, np.empty(0)
     else:
         span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
@@ -408,14 +433,11 @@ def _first_pass(panel: Panel, k0, ratio_span, window_centering) -> _FirstPass:
 
 def _fit(first: _FirstPass, loadings: np.ndarray, **extra) -> FactorModel:
     """Factor model of the centered panel on orthonormal ``loadings``, in the panel's units."""
-    factors = loadings.T @ first.centered
-    residuals = first.centered - loadings @ factors
-    e = first.exponent
     return FactorModel(
-        r_hat=loadings.shape[1], loadings=loadings, factors=_in_units(factors, e),
-        residuals=_in_units(residuals, e), eigenvalues=_in_units(first.eigenvalues, 4 * e),
-        ratios=first.ratios, k0=first.k0, ratio_span=first.ratio_span,
-        eigenvectors=first.eigenvectors, **extra,
+        r_hat=loadings.shape[1], loadings=loadings, ratios=first.ratios, k0=first.k0,
+        eigenvalues=_in_units(first.eigenvalues, 4 * first.exponent),
+        ratio_span=first.ratio_span, eigenvectors=first.eigenvectors, _centered=first.centered,
+        _unit_eigenvalues=first.eigenvalues, _exponent=first.exponent, **extra,
     )
 
 

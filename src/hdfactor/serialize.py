@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ParseError
-from .estimation import FactorModel, _in_units, _unit_scale
+from .estimation import FactorModel
 from .panel import format_floats, read_text
 
 __all__ = [
@@ -146,11 +146,8 @@ def model_to_dict(model: FactorModel, *, extras: Optional[dict] = None) -> dict:
         doc["step2_no_sharp_minimum"] = bool(model.step2_no_sharp_minimum)
     doc["loadings"] = _matrix_block(model.loadings)
     doc["factors"] = _matrix_block(model.factors)
-    # The rms squares the residuals at unit scale, so it neither overflows
-    # nor underflows where the residuals themselves are finite and nonzero.
-    unit, e = _unit_scale(model.residuals)
     doc["residual_summary"] = {
-        "rms": float(_in_units(np.sqrt((unit**2).mean()), e)),
+        "rms": model.residual_rms,
         "max_abs": float(np.abs(model.residuals).max()),
     }
     if extras:

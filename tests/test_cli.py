@@ -315,6 +315,46 @@ def test_estimate_overflowing_panel_gives_the_unit_scale_count(tmp_path):
     assert counts[0] == counts[1] == estimate(panel, k0=1).r_hat
 
 
+def _diagnose_at_scale(tmp_path, scale, *flags):
+    """Output directory of ``diagnose --project`` on the seed-10 (200, 10) panel, times scale.
+
+    The projected series is the panel's first series, times the same scale.
+    """
+    panel, _ = generate(table1_scenario(200, 10, seed=10))
+    run = tmp_path / f"x{scale:g}"
+    run.mkdir()
+    for name, values in (("panel.csv", panel.values), ("u.csv", panel.values[:1])):
+        save_csv(Panel(values * scale, time_labels=panel.time_labels), run / name,
+                 "rows-are-time")
+    proc = run_cli("diagnose", "panel.csv", "--k0", 1, "--max-lag", 5, "--project", "u.csv",
+                   *flags, "--out", "out", cwd=run)
+    assert proc.returncode == 0, proc.stderr
+    return run / "out"
+
+
+def _projection_ratio(out):
+    return json.loads((out / "model.json").read_text())["projection_residual_ratio"]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_diagnose_projection_ratio_does_not_depend_on_scale(tmp_path, scale):
+    # Squares of the series and of the factors overflow or underflow here.
+    ratio = _projection_ratio(_diagnose_at_scale(tmp_path, scale))
+    assert ratio == pytest.approx(_projection_ratio(_diagnose_at_scale(tmp_path, 1.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e160, 1e-170])
+def test_diagnose_past_double_range_matches_the_unit_panel(tmp_path, scale):
+    # At 1e80 the reported eigenvalues overflow; at the others, squares of the panel too.
+    outs = [_diagnose_at_scale(tmp_path, s, "--directions", 3) for s in (scale, 1.0)]
+    assert _projection_ratio(outs[0]) == pytest.approx(_projection_ratio(outs[1]), rel=1e-12)
+    for name, column in (("acf.csv", 3), ("residual_acf.csv", 3), ("variance_explained.csv", 1)):
+        values, expected = ([float(line.split(",")[column])
+                             for line in (out / name).read_text().splitlines()[1:]]
+                            for out in outs)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
 def test_diagnose_rejects_a_numerically_null_direction_with_exit_1(tmp_path):
     # The centred panel has rank n - 1 = 99, so direction 100's eigenvalue is
     # roundoff (about 3.5e-18 of the largest) and its projection has an rms

@@ -67,6 +67,13 @@ def test_cross_acf_relabeling_symmetry():
     assert_allclose(forward.acf[1, 0], swapped.acf[0, 1], atol=1e-13)
 
 
+def test_cross_acf_of_series_near_the_largest_double_matches_the_unit_series():
+    # The spread of these series, max - min, overflows unless taken at unit scale.
+    x = np.random.default_rng(6).standard_normal((2, 40))
+    huge = x * (1.7e308 / np.abs(x).max())
+    assert_allclose(cross_acf(huge, 4).acf, cross_acf(x, 4).acf, rtol=1e-12, atol=1e-14)
+
+
 def test_cross_acf_rejects_constant_series():
     block = np.vstack([np.ones(30) * 0.1, np.random.default_rng(6).standard_normal(30)])
     with pytest.raises(DomainError, match="'1'"):
@@ -87,7 +94,7 @@ def test_residual_projection_acf_is_white_for_fitted_model():
     panel, _ = generate(table1_scenario(1600, 80, seed=8))
     model = estimate(panel, k0=1)
     assert model.r_hat == 3
-    report = residual_projection_acf(model, panel, (4, 5), 20)
+    report = residual_projection_acf(model, (4, 5), 20)
     beyond_lag0 = np.abs(report.acf[:, :, 1:])
     fraction = np.mean(beyond_lag0 > report.band)
     assert fraction <= 0.15
@@ -97,9 +104,9 @@ def test_residual_projection_rejects_factor_direction():
     panel, _ = generate(table1_scenario(400, 20, seed=9))
     model = estimate(panel, k0=1)
     with pytest.raises(DomainError):
-        residual_projection_acf(model, panel, (1,), 10)
+        residual_projection_acf(model, (1,), 10)
     with pytest.raises(DomainError):
-        residual_projection_acf(model, panel, (21,), 10)
+        residual_projection_acf(model, (21,), 10)
 
 
 def test_residual_projection_zero_variance_on_noiseless_panel():
@@ -108,7 +115,7 @@ def test_residual_projection_zero_variance_on_noiseless_panel():
     model = estimate(panel, k0=1)
     assert model.r_hat == 3
     with pytest.raises(DomainError, match="zero variance"):
-        residual_projection_acf(model, panel, (5,), 10)
+        residual_projection_acf(model, (5,), 10)
 
 
 # ---------------------------------------------------------------- variance shares
@@ -116,7 +123,7 @@ def test_residual_projection_zero_variance_on_noiseless_panel():
 def test_variance_explained_univariate_is_one():
     panel = Panel(np.random.default_rng(11).standard_normal((1, 40)))
     model = estimate(panel, k0=1)
-    assert_allclose(variance_explained(model, panel), [1.0], atol=1e-12)
+    assert_allclose(variance_explained(model), [1.0], atol=1e-12)
 
 
 def test_variance_explained_noiseless_rank_one_is_one():
@@ -124,7 +131,7 @@ def test_variance_explained_noiseless_rank_one_is_one():
     x = ar1_series(300, 0.7, seed=12)
     panel = Panel(np.outer(rng.uniform(-1, 1, 5), x))
     model = estimate(panel, k0=1)
-    shares = variance_explained(model, panel)
+    shares = variance_explained(model)
     assert model.r_hat == 1
     assert_allclose(shares[0], 1.0, atol=1e-8)
 
@@ -133,15 +140,15 @@ def test_variance_explained_sum_invariant_under_basis_rotation():
     panel, _ = generate(table1_scenario(300, 12, seed=13))
     rotation = random_orthogonal(12, seed=14)
     rotated = Panel(rotation @ panel.values)
-    total = variance_explained(estimate(panel, k0=1), panel).sum()
-    total_rot = variance_explained(estimate(rotated, k0=1), rotated).sum()
+    total = variance_explained(estimate(panel, k0=1)).sum()
+    total_rot = variance_explained(estimate(rotated, k0=1)).sum()
     assert abs(total - total_rot) <= 1e-10
 
 
 def test_variance_explained_fractions_are_proper():
     panel, _ = generate(table1_scenario(250, 15, seed=15))
     model = estimate(panel, k0=1)
-    shares = variance_explained(model, panel)
+    shares = variance_explained(model)
     assert np.all(shares >= 0)
     assert np.all(shares <= 1 + 1e-10)
     assert shares.sum() <= 1 + 1e-10
@@ -150,30 +157,24 @@ def test_variance_explained_fractions_are_proper():
 def test_variance_explained_two_step_uses_combined_columns():
     panel, _ = generate(table1_scenario(400, 20, seed=22))
     model = two_step_estimate(panel, k0=1, r1_override=2)
-    shares = variance_explained(model, panel)
+    shares = variance_explained(model)
     assert shares.shape == (model.r_hat,)
     assert shares.sum() <= 1 + 1e-10
 
 
-def test_variance_explained_zero_panel_errors():
-    panel, _ = generate(table1_scenario(100, 6, seed=16))
-    model = estimate(panel, k0=1)
-    with pytest.raises(DomainError):
-        variance_explained(model, Panel(np.zeros((6, 100)) + 0.0))
-
-
-@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("scale", [1e80, 1e160, 1e-170])
 def test_diagnostics_past_the_square_range_match_the_unit_panel(scale):
-    # Squares of these values overflow or underflow; the diagnostics must not.
+    # Squares of these values, or fourth powers at 1e80 (the eigenvalues),
+    # overflow or underflow; the diagnostics must not.
     panel, _ = generate(table1_scenario(200, 10, seed=10))
     base = estimate(panel, k0=1)
-    scaled_panel = Panel(panel.values * scale)
-    scaled = estimate(scaled_panel, k0=1)
+    scaled = estimate(Panel(panel.values * scale), k0=1)
     assert scaled.r_hat == base.r_hat
-    assert_allclose(variance_explained(scaled, scaled_panel), variance_explained(base, panel),
-                    rtol=1e-12)
+    assert_allclose(variance_explained(scaled), variance_explained(base), rtol=1e-12)
     assert_allclose(cross_acf(scaled.factors, 5).acf, cross_acf(base.factors, 5).acf,
                     rtol=1e-12, atol=1e-14)
+    assert_allclose(residual_projection_acf(scaled, (3, 4), 5).acf,
+                    residual_projection_acf(base, (3, 4), 5).acf, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------- projection ratio

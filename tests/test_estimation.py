@@ -283,8 +283,19 @@ def test_estimate_univariate_panel():
     expected = m_eigenvalues(panel.values, 2, window_centering=True)
     assert np.array_equal(windowed.eigenvalues, expected)
     assert windowed.eigenvalues[0] != model.eigenvalues[0]
-    with pytest.raises(DomainError, match="single series has zero variance"):
-        estimate(Panel(np.full((1, 30), 3.0)), k0=2, window_centering=True)
+
+
+@pytest.mark.parametrize("p, n", [(1, 30), (6, 100), (300, 50)])
+def test_a_panel_of_constant_series_has_no_fit(p, n):
+    # Each row's mean is exact, so the centred panel is exactly zero.  A wide
+    # panel's span coordinates are centred on their own and keep roundoff, so
+    # its pooled spectrum alone would not reject it.
+    values = np.full((p, n), 3.0)
+    values[::2] = 0.5
+    for fit in [estimate] if p == 1 else [estimate, two_step_estimate]:
+        with pytest.raises(DomainError,
+                           match="^degenerate spectrum: the panel has zero variance$"):
+            fit(Panel(values), k0=2, window_centering=True)
 
 
 def test_estimate_default_lag_depth_is_five():
@@ -382,6 +393,25 @@ def test_overflowing_panel_gives_the_unit_scale_counts(n, p):
     span = default_ratio_span(p)
     assert ratio_estimate(m_eigenvalues(huge.values, 1), span)[0] == \
         ratio_estimate(m_eigenvalues(panel.values, 1), span)[0]
+
+
+@pytest.mark.parametrize("fit", [estimate, two_step_estimate])
+@pytest.mark.parametrize("n, p", [(120, 30), (40, 90)])
+@pytest.mark.parametrize("k", [0, 100])
+def test_factors_and_residuals_are_formed_from_the_unit_panel_on_first_read(fit, n, p, k):
+    panel, _ = generate(table1_scenario(n, p, seed=n + p))
+    model = fit(Panel(np.ldexp(panel.values, k)), k0=1)
+    values, e = estimation._unit_scale(np.ldexp(panel.values, k))
+    assert model._exponent == e and (e == 0) == (k == 0)
+    assert np.array_equal(model._centered, values - values.mean(axis=1, keepdims=True))
+    # A fit forms neither product; studies never read them.
+    assert not {"factors", "residuals"} & vars(model).keys()
+    unit = model.loadings.T @ model._centered
+    assert np.array_equal(model.factors, estimation._in_units(unit, e))
+    assert np.array_equal(model.residuals,
+                          estimation._in_units(model._centered - model.loadings @ unit, e))
+    assert model.factors is model.factors
+    assert model.residuals is model.residuals
 
 
 # ---------------------------------------------------------------- two-step fit

@@ -5,8 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from hdfactor import (
+    DomainError,
     Panel,
     cli,
     default_ratio_span,
@@ -14,9 +16,11 @@ from hdfactor import (
     generate,
     m_eigenvalues,
     ratio_estimate,
+    residual_projection_acf,
     save_csv,
     sym_eigen,
     two_step_estimate,
+    variance_explained,
 )
 from helpers import (
     STUDY_INPUT_FAULTS,
@@ -55,6 +59,14 @@ def _counts(values, k0, wc):
             ratio_estimate(lam, default_ratio_span(panel.p))[0])
 
 
+def _first_residual_acf(fit):
+    """``(None, acf)`` of the first residual direction, or ``(reason, None)`` if it is rejected."""
+    try:
+        return None, residual_projection_acf(fit, [fit.r_hat + 1], 3).acf
+    except DomainError as exc:
+        return str(exc), None
+
+
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @hypothesis.given(
     n=st.integers(20, 60),
@@ -68,7 +80,16 @@ def _counts(values, k0, wc):
 @hypothesis.example(n=40, p=70, k0=2, wc=True, k=-300, seed=2)
 def test_counts_do_not_change_when_the_panel_is_scaled_by_a_power_of_two(n, p, k0, wc, k, seed):
     values = generate(table1_scenario(n, p, seed=seed))[0].values
-    assert _counts(np.ldexp(values, k), k0, wc) == _counts(values, k0, wc)
+    scaled = np.ldexp(values, k)
+    assert _counts(scaled, k0, wc) == _counts(values, k0, wc)
+    # The diagnostics of both fits agree too: shares, and the first residual
+    # direction's autocorrelations or the reason it has none.
+    fits = [estimate(Panel(v), k0, window_centering=wc) for v in (scaled, values)]
+    assert_allclose(*map(variance_explained, fits), rtol=1e-12)
+    (reason, acf), (expected_reason, expected_acf) = map(_first_residual_acf, fits)
+    assert reason == expected_reason
+    if reason is None:
+        assert_allclose(acf, expected_acf, rtol=1e-12, atol=1e-14)
 
 
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
