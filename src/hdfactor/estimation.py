@@ -14,9 +14,9 @@ of the estimated zero-eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,13 +93,13 @@ class FactorModel:
     the centered panel onto them, and ``residuals`` is the remainder, so
     ``loadings @ factors + residuals`` reproduces the centered panel.
 
-    For two-step fits, ``eigenvalues``/``ratios`` describe the first pass,
-    the ``*_step2`` fields describe the second pass on the deflated panel,
-    and ``r_hat == r1_hat + r2_hat``.  ``step2_no_sharp_minimum`` flags a
-    second pass whose smallest eigenvalue ratio stays above 0.5, or one
-    that found no eigenvalue above the ratio floor, i.e. one offering no
-    clear evidence of further factors; it is a report, not a decision
-    rule.
+    A two-step fit is its one-step fit plus the second pass: ``loadings``
+    and ``r_hat`` extended by its directions, and the ``*_step2`` fields
+    describing it on the deflated panel, so ``r_hat == r1_hat + r2_hat``.
+    ``step2_no_sharp_minimum`` flags a second pass whose smallest
+    eigenvalue ratio stays above 0.5, or one that found no eigenvalue
+    above the ratio floor, i.e. one offering no clear evidence of further
+    factors; it is a report, not a decision rule.
 
     ``eigenvalues`` always has length p.  ``eigenvectors`` holds the
     eigenvectors of the pooled matrix and has shape p x min(p, n): for
@@ -108,13 +108,13 @@ class FactorModel:
     beyond the first n (null directions of the pooled matrix) are not
     formed.
 
-    The model keeps its centered panel and spectrum at unit scale (see
-    ``_unit_scale``), so counts, ratios, loadings and diagnostics do not
-    depend on the data's scale.  ``factors``, ``residuals`` and
-    ``residual_rms`` are formed from them on first read and cached, in the
-    panel's units (eigenvalues in their fourth power).  A value past
-    double range is reported as IEEE arithmetic gives it: ``inf`` above
-    about 1.8e308, 0 below about 5e-324.
+    The model keeps its centered panel, spectrum and span-coordinate
+    eigenvectors at unit scale (see ``_unit_scale``), so counts, ratios,
+    loadings and diagnostics do not depend on the data's scale.  The
+    ``eigenvectors``, ``factors``, ``residuals`` and ``residual_rms`` are
+    formed on first read and cached, in the panel's units (eigenvalues in
+    their fourth power).  A value past double range is reported as IEEE
+    arithmetic gives it: ``inf`` above about 1.8e308, 0 below about 5e-324.
     """
 
     r_hat: int
@@ -123,16 +123,22 @@ class FactorModel:
     ratios: np.ndarray
     k0: int
     ratio_span: int
-    eigenvectors: np.ndarray = field(repr=False)
     _centered: np.ndarray = field(repr=False)          # the centered panel times 2**-_exponent
     _unit_eigenvalues: np.ndarray = field(repr=False)  # its pooled spectrum
     _exponent: int = field(repr=False)
+    _basis: Optional[np.ndarray] = field(repr=False)   # span basis Q for p > n, None otherwise
+    _vectors: np.ndarray = field(repr=False)           # pooled eigenvectors in span coordinates
+    _coords: np.ndarray = field(repr=False)            # _centered in span coordinates
     method: str = "one-step"
     r1_hat: Optional[int] = None
     r2_hat: Optional[int] = None
     eigenvalues_step2: Optional[np.ndarray] = None
     ratios_step2: Optional[np.ndarray] = None
     step2_no_sharp_minimum: Optional[bool] = None
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _in_panel(self._basis, self._vectors)
 
     @cached_property
     def _unit_factors(self) -> np.ndarray:
@@ -394,53 +400,6 @@ def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False
     return _pooled_eigen(coords, values.shape[0], int(k0), window_centering, False)[0]
 
 
-class _FirstPass(NamedTuple):
-    """The eigenanalysis that ``estimate`` and ``two_step_estimate`` share."""
-
-    centered: np.ndarray             # the centered p x n panel
-    basis: Optional[np.ndarray]      # span basis Q for p > n, None (identity) otherwise
-    coords: np.ndarray               # the centered panel in span coordinates
-    k0: int
-    eigenvalues: np.ndarray
-    coord_vectors: np.ndarray        # eigenvectors in span coordinates
-    eigenvectors: np.ndarray         # the same in panel space
-    r_hat: int
-    ratios: np.ndarray
-    ratio_span: int
-    exponent: int                    # the panel was fitted times 2**-exponent
-
-
-def _first_pass(panel: Panel, k0, ratio_span, window_centering) -> _FirstPass:
-    """Rescale and center the panel, eigensolve its pooled matrix in span coordinates, count."""
-    _validate_lag(panel.n, k0, largest=True)
-    k0 = int(k0)
-    values, e = _unit_scale(panel.values)
-    centered = values - values.mean(axis=1, keepdims=True)
-    if not centered.any():
-        # A wide panel's span coordinates would keep the roundoff of their own centring.
-        raise DomainError("degenerate spectrum: the panel has zero variance")
-    basis, coords = _span(values)
-    lam, coord_vectors = _pooled_eigen(coords, panel.p, k0, window_centering)
-    if panel.p == 1:
-        span, r_hat, ratios = 0, 1, np.empty(0)
-    else:
-        span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
-        r_hat, ratios = ratio_estimate(lam, span)
-    coords = centered if basis is None else coords - coords.mean(axis=1, keepdims=True)
-    return _FirstPass(centered, basis, coords, k0, lam, coord_vectors,
-                      _in_panel(basis, coord_vectors), r_hat, ratios, span, e)
-
-
-def _fit(first: _FirstPass, loadings: np.ndarray, **extra) -> FactorModel:
-    """Factor model of the centered panel on orthonormal ``loadings``, in the panel's units."""
-    return FactorModel(
-        r_hat=loadings.shape[1], loadings=loadings, ratios=first.ratios, k0=first.k0,
-        eigenvalues=_in_units(first.eigenvalues, 4 * first.exponent),
-        ratio_span=first.ratio_span, eigenvectors=first.eigenvectors, _centered=first.centered,
-        _unit_eigenvalues=first.eigenvalues, _exponent=first.exponent, **extra,
-    )
-
-
 def estimate(
     panel: Panel,
     k0: int = DEFAULT_K0,
@@ -459,8 +418,26 @@ def estimate(
     eigenvalues: its single direction is the one factor, with an empty
     ratio trace.
     """
-    first = _first_pass(panel, k0, ratio_span, window_centering)
-    return _fit(first, first.eigenvectors[:, : first.r_hat])
+    _validate_lag(panel.n, k0, largest=True)
+    k0 = int(k0)
+    values, e = _unit_scale(panel.values)
+    if np.all(values.max(axis=1) == values.min(axis=1)):
+        # Centring a constant series can leave roundoff, which would count as a factor.
+        raise DomainError("degenerate spectrum: the panel has zero variance")
+    basis, coords = _span(values)
+    lam, vectors = _pooled_eigen(coords, panel.p, k0, window_centering)
+    if panel.p == 1:
+        span, r_hat, ratios = 0, 1, np.empty(0)
+    else:
+        span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
+        r_hat, ratios = ratio_estimate(lam, span)
+    centered = values - values.mean(axis=1, keepdims=True)
+    return FactorModel(
+        r_hat=r_hat, loadings=_in_panel(basis, vectors[:, :r_hat]),
+        eigenvalues=_in_units(lam, 4 * e), ratios=ratios, k0=k0, ratio_span=span,
+        _centered=centered, _unit_eigenvalues=lam, _exponent=e, _basis=basis, _vectors=vectors,
+        _coords=centered if basis is None else coords - coords.mean(axis=1, keepdims=True),
+    )
 
 
 def two_step_estimate(
@@ -473,7 +450,7 @@ def two_step_estimate(
 ) -> FactorModel:
     """Two-step fit for factors of mixed strength.
 
-    Step one is the one-step eigenanalysis; it keeps the ``r1`` leading
+    Step one is ``estimate`` itself; it keeps the ``r1`` leading
     directions (``r1_override`` replaces the estimated count when given).
     Step two projects them out of the panel in the first pass's span
     coordinates, reruns the eigenanalysis there, and appends the ``r2``
@@ -489,26 +466,27 @@ def two_step_estimate(
     """
     if panel.p == 1:
         raise DomainError("two-step estimation is degenerate for a univariate panel")
-    first = _first_pass(panel, k0, ratio_span, window_centering)
+    first = estimate(panel, k0, ratio_span, window_centering=window_centering)
     r1 = first.r_hat if r1_override is None else int(r1_override)
     # Past min(p, n) columns there are no computed directions to deflate.
-    limit = min(panel.p - 1, first.coord_vectors.shape[1])
+    limit = min(panel.p - 1, first._vectors.shape[1])
     if not 1 <= r1 <= limit:
         raise DomainError(
             f"first-pass factor count must be in [1, min(p-1, n)] = [1, {limit}], got {r1}"
         )
-    w1 = first.coord_vectors[:, :r1]
-    deflated = first.coords - w1 @ (w1.T @ first.coords)
-    lam2, coord_vectors2 = _pooled_eigen(deflated, panel.p, first.k0, window_centering)
-    if lam2[0] <= RATIO_FLOOR * first.eigenvalues[0]:
+    w1 = first._vectors[:, :r1]
+    deflated = first._coords - w1 @ (w1.T @ first._coords)
+    lam2, vectors2 = _pooled_eigen(deflated, panel.p, first.k0, window_centering)
+    if lam2[0] <= RATIO_FLOOR * first._unit_eigenvalues[0]:
         r2, ratios2 = 0, np.full(first.ratio_span, np.nan)
     else:
         r2, ratios2 = ratio_estimate(lam2, first.ratio_span)
-    loadings2 = _in_panel(first.basis, coord_vectors2[:, :r2])
-    return _fit(first, np.hstack([first.eigenvectors[:, :r1], loadings2]), method="two-step",
-                r1_hat=r1, r2_hat=r2, eigenvalues_step2=_in_units(lam2, 4 * first.exponent),
-                ratios_step2=ratios2,
-                step2_no_sharp_minimum=r2 == 0 or bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO))
+    loadings = [_in_panel(first._basis, v) for v in (w1, vectors2[:, :r2])]
+    return replace(
+        first, r_hat=r1 + r2, loadings=np.hstack(loadings), method="two-step", r1_hat=r1,
+        r2_hat=r2, eigenvalues_step2=_in_units(lam2, 4 * first._exponent), ratios_step2=ratios2,
+        step2_no_sharp_minimum=r2 == 0 or bool(np.nanmin(ratios2) > STEP2_FLAT_RATIO),
+    )
 
 
 def population_m(loadings: np.ndarray, ar_coeffs: Sequence[float], k0: int):

@@ -1,13 +1,17 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdfactor
 from hdfactor import Panel, Scenario, _openblas, cli, estimate, generate, load_csv, save_csv
 from helpers import STUDY_INPUT_FAULTS, s1_scenario, s3_scenario, table1_scenario
 
@@ -74,6 +78,15 @@ def test_estimate_domain_error_exits_1(tmp_path):
     path, _ = write_panel_csv(tmp_path, n=20, p=4)
     proc = run_cli("estimate", path, "--k0", 50, "--out", tmp_path)
     assert proc.returncode == 1
+
+
+def test_estimate_panel_of_constant_series_exits_1(tmp_path):
+    # 0.1 has no exact mean, so centring leaves roundoff the ratio rule would count.
+    path = tmp_path / "constant.csv"
+    save_csv(Panel(np.full((6, 100), 0.1)), path, "rows-are-time")
+    proc = run_cli("estimate", path, "--k0", 1, "--out", tmp_path / "out")
+    assert proc.returncode == 1
+    assert "the panel has zero variance" in proc.stderr
 
 
 def test_bad_flags_exit_3(tmp_path):
@@ -195,6 +208,23 @@ def test_import_loads_no_third_party_package_but_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['hdfactor', 'numpy']"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(hdfactor.__file__).resolve().parent
+    with open(root.parent.parent / "pyproject.toml", "rb") as handle:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+                    for spec in tomllib.load(handle)["project"]["dependencies"]}
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - set(sys.stdlib_module_names) <= declared
 
 
 def test_diagnose_outputs(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hdfactor import (
+    DimensionError,
     DomainError,
     Panel,
     cross_acf,
@@ -223,3 +224,18 @@ def test_projection_ratio_rejects_degenerate_inputs():
     rank_deficient = np.vstack([factors[0], 2 * factors[0]])
     with pytest.raises(DomainError):
         projection_residual_ratio(np.ones(30), rank_deficient)
+
+
+_SERIES = np.random.default_rng(22).standard_normal((2, 30))
+
+
+@pytest.mark.parametrize("call, args, kwargs, message", [
+    (cross_acf, (np.zeros((2, 3, 4)), 1), {}, "^series must be 1-D or 2-D, got 3-D$"),
+    (cross_acf, (np.ones((2, 2)), 1), {}, "^need at least one series of length 3, got 2 x 2$"),
+    (cross_acf, (_SERIES, 3), {"series_ids": ["a"]}, "^got 1 ids for 2 series$"),
+    (projection_residual_ratio, (np.ones(29), _SERIES), {},
+     "^series length 29 does not match factor length 30$"),
+], ids=["acf-3d", "acf-short", "acf-ids", "projection-length"])
+def test_diagnostics_reject_mismatched_shapes(call, args, kwargs, message):
+    with pytest.raises(DimensionError, match=message):
+        call(*args, **kwargs)

@@ -202,6 +202,10 @@ def test_ratio_estimate_default_span():
     assert default_ratio_span(10) == 5
     assert default_ratio_span(2) == 1
     assert default_ratio_span(3) == 1
+    lam = [8.0, 4.0, 2.0, 0.002, 0.0019]
+    r_hat, ratios = ratio_estimate(lam)
+    assert (r_hat, ratios.size) == (1, default_ratio_span(5))
+    assert np.array_equal(ratios, ratio_estimate(lam, 2)[1])
 
 
 def test_ratio_estimate_excludes_numerically_zero_eigenvalues():
@@ -285,13 +289,21 @@ def test_estimate_univariate_panel():
     assert windowed.eigenvalues[0] != model.eigenvalues[0]
 
 
-@pytest.mark.parametrize("p, n", [(1, 30), (6, 100), (300, 50)])
-def test_a_panel_of_constant_series_has_no_fit(p, n):
-    # Each row's mean is exact, so the centred panel is exactly zero.  A wide
-    # panel's span coordinates are centred on their own and keep roundoff, so
-    # its pooled spectrum alone would not reject it.
-    values = np.full((p, n), 3.0)
-    values[::2] = 0.5
+@pytest.mark.parametrize("p, n, levels", [
+    pytest.param(1, 30, (0.5, 3.0), id="1-30"),
+    pytest.param(6, 100, (0.5, 3.0), id="6-100"),
+    pytest.param(300, 50, (0.5, 3.0), id="300-50"),
+    pytest.param(1, 100, (0.1,), id="1-100-inexact"),
+    pytest.param(6, 100, (0.1,), id="6-100-inexact"),
+    pytest.param(300, 50, (0.1,), id="300-50-inexact"),
+])
+def test_a_panel_of_constant_series_has_no_fit(p, n, levels):
+    # Rows alternate through ``levels``.  The mean of a row of 0.5 or 3.0 is
+    # exact, so its centred values are zero; that of a row of 0.1 rounds, so
+    # they keep roundoff.  A wide panel's span coordinates are centred on
+    # their own and keep roundoff too, so its pooled spectrum alone would
+    # not reject it.
+    values = np.repeat(np.resize(levels, p)[:, None], n, axis=1)
     for fit in [estimate] if p == 1 else [estimate, two_step_estimate]:
         with pytest.raises(DomainError,
                            match="^degenerate spectrum: the panel has zero variance$"):
@@ -404,8 +416,14 @@ def test_factors_and_residuals_are_formed_from_the_unit_panel_on_first_read(fit,
     values, e = estimation._unit_scale(np.ldexp(panel.values, k))
     assert model._exponent == e and (e == 0) == (k == 0)
     assert np.array_equal(model._centered, values - values.mean(axis=1, keepdims=True))
-    # A fit forms neither product; studies never read them.
-    assert not {"factors", "residuals"} & vars(model).keys()
+    # A fit forms none of them; studies never read them.
+    assert not {"eigenvectors", "factors", "residuals"} & vars(model).keys()
+    assert np.array_equal(model.eigenvectors,
+                          estimation._in_panel(model._basis, model._vectors))
+    assert model.eigenvectors is model.eigenvectors
+    if fit is two_step_estimate:
+        first = estimate(Panel(np.ldexp(panel.values, k)), k0=1)
+        assert np.array_equal(model.eigenvectors, first.eigenvectors)
     unit = model.loadings.T @ model._centered
     assert np.array_equal(model.factors, estimation._in_units(unit, e))
     assert np.array_equal(model.residuals,
@@ -506,6 +524,9 @@ def test_population_m_rank_one_closed_form():
     assert_allclose(m, c * np.ones((p, p)), rtol=1e-12)
     assert_allclose(lam[0], p * c, rtol=1e-12)
     assert np.abs(lam[1:]).max() <= 1e-10 * lam[0]
+    # A vector of loadings is one factor's column.
+    vector_m, vector_lam = population_m(np.ones(p), [theta], 1)
+    assert np.array_equal(vector_m, m) and np.array_equal(vector_lam, lam)
 
 
 def test_population_m_white_noise_factor_vanishes():
@@ -609,3 +630,27 @@ def test_concurrent_eigensolves_equal_their_serial_results():
         sys.setswitchinterval(interval)
     assert not errors, errors
     assert not mismatches
+
+
+# ---------------------------------------------------------------- input checks
+
+@pytest.mark.parametrize("call, args, error, message", [
+    (estimation.AutocovSet, (2, (np.eye(2),), np.eye(2)), DimensionError,
+     "^expected 3 autocovariance matrices, got 1$"),
+    (estimation.AutocovSet, (0, (np.eye(2),), np.array([[1.0, 1.0], [0.0, 1.0]])), DomainError,
+     "^pooled matrix is not symmetric$"),
+    (estimation.EigenSystem, (np.array([1.0, 2.0]), np.eye(2)), DomainError,
+     "^eigenvalues must be in descending order$"),
+    (sym_eigen, (np.ones((2, 3)),), DimensionError,
+     r"^expected a square matrix, got shape \(2, 3\)$"),
+    (ratio_estimate, ([1.0],), DimensionError,
+     "^ratio estimation needs at least two eigenvalues$"),
+    (population_m, (np.ones((4, 2)), [0.5], 1), DimensionError,
+     "^need one AR coefficient per factor, got 1 for 2 factors$"),
+    (population_m, (np.ones((4, 1)), [0.5], 0), DomainError,
+     "^k0 must be a positive integer, got 0$"),
+], ids=["autocov-count", "autocov-asymmetric", "eigen-ascending", "sym-eigen-non-square",
+        "ratio-one-eigenvalue", "population-ar-count", "population-k0"])
+def test_estimation_rejects_malformed_input(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)

@@ -402,3 +402,18 @@ else:
         path = tmp_path_factory.getbasetemp() / "bulk-or-rows.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(path, orientation) == _row_path_outcome(path, orientation)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: Panel(np.zeros((2, 3, 4))), DimensionError,
+     "^panel values must be 2-D, got 3-D$"),
+    (lambda path: load_csv(write(path, "a,b\n1,2\n3,4\n"), "sideways"), DomainError,
+     "^orientation must be one of .*, got 'sideways'$"),
+    (lambda path: save_csv(Panel(np.ones((2, 3))), path / "out.csv", "sideways"), DomainError,
+     "^orientation must be one of .*, got 'sideways'$"),
+], ids=["panel-3d", "load-orientation", "save-orientation"])
+def test_panel_io_rejects_malformed_arguments(tmp_path, call, error, message):
+    # The CLI's --orientation choices stop a bad value before either function.
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "out.csv").exists()

@@ -51,11 +51,19 @@ def test_two_step_wide_second_pass_matches_dense_reference(n, extra, k0, wc, r1,
 # ---------------------------------------------------------------- invariances
 
 def _counts(values, k0, wc):
-    """Counts of both fits and the ratio count of ``m_eigenvalues``."""
+    """Counts of both fits and the ratio count of ``m_eigenvalues``.
+
+    The two-step fit's first pass must be the one-step fit, bit for bit.
+    """
     panel = Panel(values)
+    one = estimate(panel, k0, window_centering=wc)
     two = two_step_estimate(panel, k0, window_centering=wc)
+    assert one.ratio_span == two.ratio_span
+    assert np.array_equal(one.eigenvalues, two.eigenvalues)
+    assert np.array_equal(one.ratios, two.ratios, equal_nan=True)
+    assert np.array_equal(one.loadings, two.loadings[:, : two.r1_hat])
     lam = m_eigenvalues(values, k0, window_centering=wc)
-    return (estimate(panel, k0, window_centering=wc).r_hat, two.r1_hat, two.r2_hat,
+    return (one.r_hat, two.r1_hat, two.r2_hat,
             ratio_estimate(lam, default_ratio_span(panel.p))[0])
 
 

@@ -341,6 +341,8 @@ def test_fit_error_slopes_recovers_synthetic_rate():
     fit = fit_error_slopes(study)[0]
     assert_allclose(fit.slope, -1.0, atol=1e-10)
     assert fit.ci_low <= -1.0 <= fit.ci_high
+    with pytest.raises(DomainError, match="^need at least three grid points to fit a slope$"):
+        fit_error_slopes(replace(study, n_grid=n_grid[:2]))
 
 
 # ---------------------------------------------------------------- ratio traces
