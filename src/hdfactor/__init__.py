@@ -9,87 +9,13 @@ checks.
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    AcfReport,
-    cross_acf,
-    projection_residual_ratio,
-    residual_projection_acf,
-    variance_explained,
-)
-from .errors import DimensionError, DomainError, HDFactorError, ParseError
-from .estimation import (
-    AutocovSet,
-    EigenSystem,
-    FactorModel,
-    build_m,
-    default_ratio_span,
-    estimate,
-    m_eigenvalues,
-    population_m,
-    ratio_estimate,
-    sample_autocov,
-    sym_eigen,
-    two_step_estimate,
-)
-from .panel import Panel, SeasonalSpec, center, load_csv, save_csv, seasonal_demean
-from .simulation import (
-    EigenErrorStudy,
-    McResult,
-    RatioTraceStudy,
-    Scenario,
-    SimulationTruth,
-    SlopeFit,
-    TwoStepStudy,
-    derive_seed,
-    eigen_error_study,
-    fit_error_slopes,
-    generate,
-    ratio_trace_study,
-    run_table1,
-    two_step_study,
-)
+from . import diagnostics, errors, estimation, panel, simulation
+from .diagnostics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .estimation import *  # noqa: F401,F403
+from .panel import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "AcfReport",
-    "AutocovSet",
-    "DimensionError",
-    "DomainError",
-    "EigenErrorStudy",
-    "EigenSystem",
-    "FactorModel",
-    "HDFactorError",
-    "McResult",
-    "Panel",
-    "ParseError",
-    "RatioTraceStudy",
-    "Scenario",
-    "SeasonalSpec",
-    "SimulationTruth",
-    "SlopeFit",
-    "TwoStepStudy",
-    "build_m",
-    "center",
-    "cross_acf",
-    "default_ratio_span",
-    "derive_seed",
-    "eigen_error_study",
-    "estimate",
-    "fit_error_slopes",
-    "generate",
-    "load_csv",
-    "m_eigenvalues",
-    "population_m",
-    "projection_residual_ratio",
-    "ratio_estimate",
-    "ratio_trace_study",
-    "residual_projection_acf",
-    "run_table1",
-    "sample_autocov",
-    "save_csv",
-    "seasonal_demean",
-    "sym_eigen",
-    "two_step_estimate",
-    "two_step_study",
-    "variance_explained",
+__all__ = ["__version__"] + [
+    name for module in (diagnostics, errors, estimation, panel, simulation) for name in module.__all__
 ]

@@ -221,7 +221,14 @@ def _many(kind):
     return lambda value: [kind(v) for v in (value if isinstance(value, list) else [value])]
 
 
-_ints, _floats = _many(int), _many(float)
+def _integer(value) -> int:
+    """``int(value)``, refusing a bool and a number with a fractional part."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+_ints, _floats = _many(_integer), _many(float)
 
 
 def _optional_float(value):
@@ -236,8 +243,8 @@ def _study_file(args, study=None):
     config = load_config(args.scenario)
     study = str(config.get("study", "")).strip() if study is None else study
     scenario_id = str(config.get("id", Path(args.scenario).stem))
-    reps = args.reps if args.reps is not None else _given(config, reps=int).get("reps", 200)
-    seed = args.seed if args.seed is not None else _given(config, seed=int).get("seed", 0)
+    reps = args.reps if args.reps is not None else _given(config, reps=_integer).get("reps", 200)
+    seed = args.seed if args.seed is not None else _given(config, seed=_integer).get("seed", 0)
     head = {"id": scenario_id, "study": study, "reps": reps, "metadata": {
         "generator": GENERATOR_ID,
         "package": f"hdfactor {__version__}",
@@ -249,8 +256,8 @@ def _study_file(args, study=None):
 
 def _scenario_from_config(config: dict, seed) -> Scenario:
     _require(config, "n", "p", "r")
-    given = _given(config, r=int, deltas=_floats, ar_coeffs=_floats, n=int, p=int,
-                   noise_var=float, k0=int, loading_scheme=str)
+    given = _given(config, r=_integer, deltas=_floats, ar_coeffs=_floats, n=_integer,
+                   p=_integer, noise_var=float, k0=_integer, loading_scheme=str)
     for key, default in (("deltas", [0.0]), ("ar_coeffs", [0.5])):
         values = given.get(key, default)
         given[key] = tuple(values * given["r"] if len(values) == 1 else values)
@@ -276,7 +283,7 @@ def cmd_simulate(args) -> int:
     if study == "table1":
         _require(config, "n_grid", "p_rules")
         grid = _given(config, deltas=_floats, n_grid=_ints, p_rules=_floats,
-                      r=int, ar_coeffs=_floats, noise_var=float, k0=int)
+                      r=_integer, ar_coeffs=_floats, noise_var=float, k0=_integer)
         grid.setdefault("deltas", [0.0])
         cells = run_table1(reps=reps, base_seed=seed, **grid)
         out = _out_dir(args)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["HDFactorError", "ParseError", "DimensionError", "DomainError"]
+
 
 class HDFactorError(Exception):
     """Base class for all errors raised by this package."""

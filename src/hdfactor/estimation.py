@@ -24,8 +24,6 @@ from .errors import DimensionError, DomainError
 from .panel import Panel
 
 __all__ = [
-    "AutocovSet",
-    "EigenSystem",
     "FactorModel",
     "sample_autocov",
     "build_m",
@@ -43,46 +41,6 @@ RATIO_FLOOR = 1e-12        # eigenvalues below this fraction of the largest are 
 SYMMETRY_RTOL = 1e-10
 STEP2_FLAT_RATIO = 0.5     # reporting flag only: second pass shows no sharp minimum
 SCALE_BAND = 64            # panels whose largest |value| lies in [2^-64, 2^64] are not rescaled
-
-
-@dataclass(frozen=True)
-class AutocovSet:
-    """Sample autocovariances at lags 0..k0 and their pooled matrix.
-
-    Attributes
-    ----------
-    k0 : int
-        Largest lag entering the pooled matrix.
-    sigma : tuple of ndarray
-        Lag-k sample autocovariance matrices for k = 0..k0.
-    m_hat : ndarray, shape (p, p)
-        Symmetrized sum over k = 1..k0 of ``sigma[k] @ sigma[k].T``.
-    """
-
-    k0: int
-    sigma: tuple
-    m_hat: np.ndarray
-
-    def __post_init__(self):
-        if len(self.sigma) != self.k0 + 1:
-            raise DimensionError(
-                f"expected {self.k0 + 1} autocovariance matrices, got {len(self.sigma)}"
-            )
-        scale = np.abs(self.m_hat).max()
-        if scale > 0 and np.abs(self.m_hat - self.m_hat.T).max() > 1e-12 * scale:
-            raise DomainError("pooled matrix is not symmetric")
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Descending eigenvalues with orthonormal, sign-normalized eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise DomainError("eigenvalues must be in descending order")
 
 
 @dataclass(frozen=True)
@@ -213,18 +171,19 @@ def _pool(lag_covs) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def build_m(panel: Panel, k0: int, *, window_centering: bool = False) -> AutocovSet:
-    """Assemble the pooled lag-autocovariance matrix for lags 1..k0.
+def build_m(panel: Panel, k0: int, *, window_centering: bool = False) -> np.ndarray:
+    """The p x p pooled lag-autocovariance matrix for lags 1..k0.
 
     Each lag contributes the nonnegative-definite ``sigma_k @ sigma_k.T``
     so that information from different lags cannot cancel.  The sum is
     explicitly symmetrized to guard against floating-point asymmetry
     before the eigensolve.
+
+    This is the dense reference that the tests hold fits to; the fits
+    themselves pool in the panel's column span (see ``_pooled_eigen``).
     """
     _validate_lag(panel.n, k0, largest=True)
-    k0 = int(k0)
-    sigma = tuple(_lag_covs(panel.values, range(k0 + 1), window_centering))
-    return AutocovSet(k0=k0, sigma=sigma, m_hat=_pool(sigma[1:]))
+    return _pool(_lag_covs(panel.values, range(1, int(k0) + 1), window_centering))
 
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -236,8 +195,9 @@ def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def sym_eigen(m: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
+def sym_eigen(m: np.ndarray):
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, like ``np.linalg.eigh``
+    but with the eigenvalues descending.
 
     The sign of each eigenvector is fixed deterministically: its entry of
     largest magnitude (lowest index on ties) is made positive, so results
@@ -251,9 +211,7 @@ def sym_eigen(m: np.ndarray) -> EigenSystem:
         raise DomainError("matrix is not symmetric within 1e-10 relative tolerance")
     m = (m + m.T) / 2
     values, vectors = np.linalg.eigh(m)  # ascending
-    values = values[::-1].copy()
-    vectors = _normalize_signs(vectors[:, ::-1])
-    return EigenSystem(eigenvalues=values, eigenvectors=vectors)
+    return values[::-1].copy(), _normalize_signs(vectors[:, ::-1])
 
 
 def _span(values: np.ndarray, basis: bool = True):
@@ -311,8 +269,7 @@ def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vecto
     """
     m = _pool(_lag_covs(coords, range(1, k0 + 1), window_centering))
     if vectors:
-        system = sym_eigen(m)
-        lam, coord_vectors = system.eigenvalues, system.eigenvectors
+        lam, coord_vectors = sym_eigen(m)
     else:
         lam, coord_vectors = np.linalg.eigvalsh(m)[::-1], None
     if p > lam.size:
@@ -376,28 +333,28 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = Non
     return r_hat, ratios
 
 
-def m_eigenvalues(values: np.ndarray, k0: int, *, window_centering: bool = False) -> np.ndarray:
-    """Descending spectrum of the pooled matrix, skipping eigenvector work.
+def m_eigenvalues(panel: Panel, k0: int, *, window_centering: bool = False) -> np.ndarray:
+    """Descending spectrum of the panel's pooled matrix, skipping eigenvector work.
 
     Fast path for the Monte Carlo studies, which need only the spectrum.
     It solves for eigenvalues alone (``np.linalg.eigvalsh``) where
     ``estimate`` also forms the eigenvectors for its loadings; at the
     studies' sizes (p = 20 to 200) the vectors cost 2 to 3 times as much,
-    so both modes stay.  The two
-    agree in exact arithmetic but not bitwise: their spectra differ by
-    roundoff, within 1e-12 of the largest eigenvalue, and give the same
-    factor count on a seeded Table-1 grid (pinned by the tests).  For p > n
-    the entries past n are exact zeros, and only the R of the panel's QR
-    is formed.
+    so both modes stay.  The two agree in exact arithmetic but not
+    bitwise: their spectra differ by roundoff, within 1e-12 of the largest
+    eigenvalue, and give the same factor count on a seeded Table-1 grid
+    (pinned by the tests).  For p > n the entries past n are exact zeros,
+    and only the R of the panel's QR is formed.  ``k0`` is checked as in
+    ``estimate``.
 
     For a panel that ``_unit_scale`` rescales by 2^-e (its largest |value|
     lies outside [2^-64, 2^64]), the spectrum is that of the rescaled
     panel, 2^(-4e) times the panel's own: the same ratios and counts, and
     never past double range.
     """
-    values = _unit_scale(np.asarray(values, dtype=float))[0]
-    coords = _span(values, basis=False)[1]
-    return _pooled_eigen(coords, values.shape[0], int(k0), window_centering, False)[0]
+    _validate_lag(panel.n, k0, largest=True)
+    coords = _span(_unit_scale(panel.values)[0], basis=False)[1]
+    return _pooled_eigen(coords, panel.p, int(k0), window_centering, False)[0]
 
 
 def estimate(

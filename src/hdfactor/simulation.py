@@ -40,6 +40,7 @@ import numpy as np
 from . import _openblas
 from .errors import DimensionError, DomainError, HDFactorError
 from .estimation import (
+    _validate_lag,
     default_ratio_span,
     m_eigenvalues,
     population_m,
@@ -63,9 +64,6 @@ __all__ = [
     "ratio_trace_study",
     "two_step_study",
     "derive_seed",
-    "worker_count",
-    "GENERATOR_ID",
-    "FACTOR_BURN_IN",
 ]
 
 FACTOR_BURN_IN = 200       # VAR(1) warm-up discarded so factors start stationary
@@ -111,8 +109,7 @@ class Scenario:
             raise DomainError("AR coefficients must lie strictly inside (-1, 1)")
         if not 0 <= self.noise_var < math.inf:
             raise DomainError("noise variance must be finite and non-negative")
-        if not 1 <= self.k0 <= self.n - 2:
-            raise DomainError(f"k0 must be in [1, n-2] = [1, {self.n - 2}], got {self.k0}")
+        _validate_lag(self.n, self.k0, largest=True)
         if self.loading_scheme not in LOADING_SCHEMES:
             raise DomainError(f"loading scheme must be one of {LOADING_SCHEMES}")
         if self.loading_scheme == "all-ones" and self.r != 1:
@@ -405,7 +402,7 @@ def _worker(run: Callable, jobs: list, write_end: int) -> NoReturn:
 
 def _spectrum(scn: Scenario, panel: Panel) -> np.ndarray:
     """Measure: the pooled spectrum of a replication's panel."""
-    return m_eigenvalues(panel.values, scn.k0)
+    return m_eigenvalues(panel, scn.k0)
 
 
 def _ratio_count(scn: Scenario, panel: Panel) -> int:

@@ -106,7 +106,7 @@ def test_criterion_03_single_strong_factor_perfect_selection():
         for rep in range(REPS):
             scn = s1_scenario(n, p, seed=derive_seed(ACCEPTANCE_SEED, 3, n, rep))
             panel, _ = generate(scn)
-            r_hat, _ = ratio_estimate(m_eigenvalues(panel.values, 1), span)
+            r_hat, _ = ratio_estimate(m_eigenvalues(panel, 1), span)
             hits += r_hat == 1
         results[n] = hits / REPS
         print(f"  n={n} p={p}: freq(r_hat=1) = {results[n]:.3f}")
@@ -180,24 +180,24 @@ def test_criterion_08_invariant_suite():
     )
 
     pooled = build_m(panel, 3)
-    scale = np.abs(pooled.m_hat).max()
-    lam_all = np.linalg.eigvalsh(pooled.m_hat)
+    scale = np.abs(pooled).max()
+    lam_all = np.linalg.eigvalsh(pooled)
     checks["pooled matrix symmetric <=1e-12"] = (
-        np.abs(pooled.m_hat - pooled.m_hat.T).max() <= 1e-12 * scale
+        np.abs(pooled - pooled.T).max() <= 1e-12 * scale
     )
     checks["pooled matrix PSD >=-1e-8"] = lam_all.min() >= -1e-8 * lam_all.max()
 
-    system = sym_eigen(pooled.m_hat)
-    rebuilt = system.eigenvectors @ np.diag(system.eigenvalues) @ system.eigenvectors.T
-    checks["eigen reconstruction <=1e-8"] = np.abs(rebuilt - pooled.m_hat).max() <= 1e-8 * scale
+    eigenvalues, eigenvectors = sym_eigen(pooled)
+    rebuilt = eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T
+    checks["eigen reconstruction <=1e-8"] = np.abs(rebuilt - pooled).max() <= 1e-8 * scale
 
     rotation = random_orthogonal(3, seed=801)
     rotated = Panel((truth.loadings @ rotation) @ (rotation.T @ truth.factors) + truth.noise)
-    lam_a = m_eigenvalues(panel.values, 1)
-    lam_b = m_eigenvalues(rotated.values, 1)
+    lam_a = m_eigenvalues(panel, 1)
+    lam_b = m_eigenvalues(rotated, 1)
     ortho, _ = np.linalg.qr(np.random.default_rng(802).standard_normal((24, 3)))
-    lam_c = m_eigenvalues(ortho @ truth.factors, 1)
-    lam_d = m_eigenvalues((ortho @ rotation) @ truth.factors, 1)
+    lam_c = m_eigenvalues(Panel(ortho @ truth.factors), 1)
+    lam_d = m_eigenvalues(Panel((ortho @ rotation) @ truth.factors), 1)
     checks["spectrum rotation-invariant <=1e-10"] = (
         np.abs(lam_a - lam_b).max() <= 1e-10 * lam_a[0]
         and np.abs(lam_c - lam_d).max() <= 1e-10 * lam_c[0]
@@ -205,7 +205,7 @@ def test_criterion_08_invariant_suite():
 
     c = 7.3
     checks["scale equivariance c^4 <=1e-8"] = np.allclose(
-        m_eigenvalues(c * panel.values, 2), c**4 * m_eigenvalues(panel.values, 2), rtol=1e-8
+        m_eigenvalues(Panel(c * panel.values), 2), c**4 * m_eigenvalues(panel, 2), rtol=1e-8
     )
 
     from dataclasses import replace

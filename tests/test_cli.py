@@ -487,6 +487,33 @@ def test_simulate_non_numeric_scenario_value_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, text, flags, key, value", [
+    ("case.json", '{"study": "table1", "n_grid": [60], "p_rules": [0.2], "k0": 2.5}', ("--reps", 2),
+     "k0", "2.5"),
+    ("case.json", '{"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "n_grid": [60.9, 80]}',
+     ("--reps", 2), "n_grid", "[60.9, 80]"),
+    ("case.json", '{"study": "ratio-trace", "n": 60, "p": 10, "r": true}', ("--reps", 2),
+     "r", "True"),
+    ("case.cfg", "study = ratio-trace\nn = 60\np = 10\nr = 1\nreps = 3.7\n", (), "reps", "3.7"),
+], ids=["json-k0", "json-n-grid", "json-bool-r", "flat-reps"])
+def test_a_fractional_integer_key_exits_2_and_leaves_no_output(tmp_path, name, text, flags, key,
+                                                                value):
+    # Converting with int() would truncate the value and run another design.
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", cfg, *flags, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == f"hdfactor: error: scenario key {key!r} has an invalid value: {value}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_integer_keys_accept_integral_floats():
+    assert cli._given({"k0": 2.0, "n_grid": [60.0, 80], "seed": "7"}, k0=cli._integer,
+                      n_grid=cli._ints, seed=cli._integer) == {"k0": 2, "n_grid": [60, 80], "seed": 7}
+
+
 def test_zero_replications_exit_1(tmp_path):
     trace = tmp_path / "trace.cfg"
     trace.write_text("study = ratio-trace\nn = 60\np = 10\nr = 1\n")

@@ -101,20 +101,20 @@ def test_autocov_insufficient_data():
 def test_build_m_single_lag_is_outer_square():
     panel = ar1_panel(60, 4, seed=31)
     sigma1 = sample_autocov(panel, 1)
-    result = build_m(panel, 1)
-    assert_allclose(result.m_hat, sigma1 @ sigma1.T, atol=1e-12)
+    assert_allclose(build_m(panel, 1), sigma1 @ sigma1.T, atol=1e-12)
 
 
 def test_build_m_invariants():
     panel = ar1_panel(80, 6, seed=32)
-    result = build_m(panel, 4)
+    m = build_m(panel, 4)
     total = np.zeros((6, 6))
     for k in range(1, 5):
-        total += result.sigma[k] @ result.sigma[k].T
-    scale = np.abs(result.m_hat).max()
-    assert np.abs(result.m_hat - total).max() <= 1e-10 * scale
-    assert np.abs(result.m_hat - result.m_hat.T).max() <= 1e-12 * scale
-    lam = np.linalg.eigvalsh(result.m_hat)
+        sigma = sample_autocov(panel, k)
+        total += sigma @ sigma.T
+    scale = np.abs(m).max()
+    assert np.abs(m - total).max() <= 1e-10 * scale
+    assert np.abs(m - m.T).max() <= 1e-12 * scale
+    lam = np.linalg.eigvalsh(m)
     assert lam.min() >= -1e-8 * lam.max()
 
 
@@ -123,13 +123,12 @@ def test_build_m_white_noise_spectrum_is_small():
     # i.i.d. noise at (n, p, k0) = (2000, 5, 5) never exceeded 0.033.
     rng = np.random.default_rng(4040)
     panel = Panel(rng.standard_normal((5, 2000)))
-    result = build_m(panel, 5)
-    assert np.linalg.eigvalsh(result.m_hat).max() < 0.05
+    assert np.linalg.eigvalsh(build_m(panel, 5)).max() < 0.05
 
 
 def test_build_m_noiseless_rank_one():
     panel = ar1_panel(400, 2, noise=0.0, seed=33, loadings=[1.0, 2.0])
-    lam = sym_eigen(build_m(panel, 1).m_hat).eigenvalues
+    lam, _ = sym_eigen(build_m(panel, 1))
     assert lam[1] / lam[0] < 1e-8
 
 
@@ -144,17 +143,17 @@ def test_build_m_k0_out_of_range():
 # ---------------------------------------------------------------- eigenanalysis
 
 def test_sym_eigen_diagonal():
-    system = sym_eigen(np.diag([3.0, 1.0, 0.0]))
-    assert_allclose(system.eigenvalues, [3.0, 1.0, 0.0], atol=1e-14)
-    assert_allclose(system.eigenvectors, np.eye(3), atol=1e-14)
+    eigenvalues, eigenvectors = sym_eigen(np.diag([3.0, 1.0, 0.0]))
+    assert_allclose(eigenvalues, [3.0, 1.0, 0.0], atol=1e-14)
+    assert_allclose(eigenvectors, np.eye(3), atol=1e-14)
 
 
 def test_sym_eigen_two_by_two_hand_example():
-    system = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert_allclose(system.eigenvalues, [3.0, 1.0], atol=1e-12)
+    eigenvalues, eigenvectors = sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert_allclose(eigenvalues, [3.0, 1.0], atol=1e-12)
     s = 1 / np.sqrt(2)
-    assert_allclose(system.eigenvectors[:, 0], [s, s], atol=1e-12)
-    assert_allclose(system.eigenvectors[:, 1], [s, -s], atol=1e-12)
+    assert_allclose(eigenvectors[:, 0], [s, s], atol=1e-12)
+    assert_allclose(eigenvectors[:, 1], [s, -s], atol=1e-12)
 
 
 def test_sym_eigen_reconstruction_and_orthonormality():
@@ -162,10 +161,9 @@ def test_sym_eigen_reconstruction_and_orthonormality():
     for trial in range(5):
         root = rng.standard_normal((10, 10))
         m = root @ root.T
-        system = sym_eigen(m)
-        q = system.eigenvectors
+        eigenvalues, q = sym_eigen(m)
         assert np.abs(q.T @ q - np.eye(10)).max() <= 1e-10
-        rebuilt = q @ np.diag(system.eigenvalues) @ q.T
+        rebuilt = q @ np.diag(eigenvalues) @ q.T
         assert np.abs(rebuilt - m).max() <= 1e-8 * np.abs(m).max()
 
 
@@ -173,7 +171,7 @@ def test_sym_eigen_sign_convention():
     rng = np.random.default_rng(42)
     m = rng.standard_normal((6, 6))
     m = m @ m.T
-    vectors = sym_eigen(m).eigenvectors
+    _, vectors = sym_eigen(m)
     for col in range(6):
         lead = np.abs(vectors[:, col]).argmax()
         assert vectors[lead, col] > 0
@@ -284,7 +282,7 @@ def test_estimate_univariate_panel():
     assert_allclose(model.residuals, np.zeros((1, 30)), atol=1e-14)
     # The univariate fit honors window centering like any other.
     windowed = estimate(panel, k0=2, window_centering=True)
-    expected = m_eigenvalues(panel.values, 2, window_centering=True)
+    expected = m_eigenvalues(panel, 2, window_centering=True)
     assert np.array_equal(windowed.eigenvalues, expected)
     assert windowed.eigenvalues[0] != model.eigenvalues[0]
 
@@ -317,8 +315,8 @@ def test_estimate_default_lag_depth_is_five():
 
 def test_fast_spectrum_matches_full_decomposition():
     panel = ar1_panel(150, 8, seed=55)
-    fast = m_eigenvalues(panel.values, 3)
-    full = sym_eigen(build_m(panel, 3).m_hat).eigenvalues
+    fast = m_eigenvalues(panel, 3)
+    full, _ = sym_eigen(build_m(panel, 3))
     assert_allclose(fast, full, atol=1e-10 * max(full[0], 1.0))
     # The studies count from the eigvalsh spectrum, the fits from eigh's:
     # on Table-1-shaped panels the two differ only by roundoff.
@@ -327,7 +325,7 @@ def test_fast_spectrum_matches_full_decomposition():
             for rule in (0.2, 0.5, 1.5):
                 p = int(round(rule * n))
                 panel, _ = generate(table1_scenario(n, p, delta, seed=n + p))
-                fast = m_eigenvalues(panel.values, 1)
+                fast = m_eigenvalues(panel, 1)
                 model = estimate(panel, k0=1)
                 assert np.abs(fast - model.eigenvalues).max() <= 1e-12 * model.eigenvalues[0]
                 assert ratio_estimate(fast, default_ratio_span(p))[0] == model.r_hat
@@ -343,31 +341,31 @@ def kernel_cases(shapes):
 def test_estimate_wide_panel_matches_dense_reference(n, p, k0, wc):
     panel, _ = generate(table1_scenario(n, p, seed=n + p + k0))
     model = estimate(panel, k0, window_centering=wc)
-    system, r_hat, ratios = dense_reference(panel, k0, wc)
-    lam1 = system.eigenvalues[0]
-    assert np.abs(model.eigenvalues - system.eigenvalues).max() <= 1e-12 * lam1
+    eigenvalues, eigenvectors, r_hat, ratios = dense_reference(panel, k0, wc)
+    lam1 = eigenvalues[0]
+    assert np.abs(model.eigenvalues - eigenvalues).max() <= 1e-12 * lam1
     assert np.all(model.eigenvalues[n:] == 0.0)
     assert model.eigenvectors.shape == (p, n)
     assert model.r_hat == r_hat
     assert np.array_equal(np.isnan(model.ratios), np.isnan(ratios))
     # Sine of the largest principal angle between the two loading spans.
-    dense_span = system.eigenvectors[:, :r_hat]
+    dense_span = eigenvectors[:, :r_hat]
     gap = dense_span - model.loadings @ (model.loadings.T @ dense_span)
     assert np.linalg.norm(gap, 2) < 1e-8
-    fast = m_eigenvalues(panel.values, k0, window_centering=wc)
-    assert np.abs(fast - system.eigenvalues).max() <= 1e-12 * lam1
+    fast = m_eigenvalues(panel, k0, window_centering=wc)
+    assert np.abs(fast - eigenvalues).max() <= 1e-12 * lam1
 
 
 @pytest.mark.parametrize("n, p, k0, wc", kernel_cases([(80, 30), (40, 40)]))
 def test_estimate_narrow_panel_is_bit_identical_to_dense_reference(n, p, k0, wc):
     panel, _ = generate(table1_scenario(n, p, seed=n + p + k0))
     model = estimate(panel, k0, window_centering=wc)
-    system, r_hat, _ = dense_reference(panel, k0, wc)
-    assert np.array_equal(model.eigenvalues, system.eigenvalues)
-    assert np.array_equal(model.eigenvectors, system.eigenvectors)
-    assert np.array_equal(model.loadings, system.eigenvectors[:, :r_hat])
-    pooled = build_m(panel, k0, window_centering=wc).m_hat
-    fast = m_eigenvalues(panel.values, k0, window_centering=wc)
+    eigenvalues, eigenvectors, r_hat, _ = dense_reference(panel, k0, wc)
+    assert np.array_equal(model.eigenvalues, eigenvalues)
+    assert np.array_equal(model.eigenvectors, eigenvectors)
+    assert np.array_equal(model.loadings, eigenvectors[:, :r_hat])
+    pooled = build_m(panel, k0, window_centering=wc)
+    fast = m_eigenvalues(panel, k0, window_centering=wc)
     assert np.array_equal(fast, np.linalg.eigvalsh(pooled)[::-1])
 
 
@@ -378,7 +376,7 @@ def test_wide_spectrum_is_bit_identical_to_the_full_qr_one(n, p):
     _, r = np.linalg.qr(panel.values)
     for k0, wc in ((1, False), (3, True)):
         expected = estimation._pooled_eigen(r, p, k0, wc, False)[0]
-        assert np.array_equal(m_eigenvalues(panel.values, k0, window_centering=wc), expected)
+        assert np.array_equal(m_eigenvalues(panel, k0, window_centering=wc), expected)
 
 @pytest.mark.parametrize("n, p, k0, wc, r1", [
     case + (r1,) for case in kernel_cases([(30, 80), (50, 120)]) for r1 in (1, 2, 3)
@@ -403,8 +401,8 @@ def test_overflowing_panel_gives_the_unit_scale_counts(n, p):
     assert np.isposinf(huge_one.eigenvalues[0])
     assert_allclose(huge_one.factors, one.factors * 1e80, rtol=1e-10, atol=1e-10 * 1e80)
     span = default_ratio_span(p)
-    assert ratio_estimate(m_eigenvalues(huge.values, 1), span)[0] == \
-        ratio_estimate(m_eigenvalues(panel.values, 1), span)[0]
+    assert ratio_estimate(m_eigenvalues(huge, 1), span)[0] == \
+        ratio_estimate(m_eigenvalues(panel, 1), span)[0]
 
 
 @pytest.mark.parametrize("fit", [estimate, two_step_estimate])
@@ -563,8 +561,8 @@ def test_spectrum_invariant_under_loading_rotation_same_randomness():
     panel, truth = generate(scn)
     rotation = random_orthogonal(3, seed=82)
     rotated = Panel((truth.loadings @ rotation) @ (rotation.T @ truth.factors) + truth.noise)
-    lam_a = m_eigenvalues(panel.values, 1)
-    lam_b = m_eigenvalues(rotated.values, 1)
+    lam_a = m_eigenvalues(panel, 1)
+    lam_b = m_eigenvalues(rotated, 1)
     assert np.abs(lam_a - lam_b).max() <= 1e-10 * lam_a[0]
 
 
@@ -574,8 +572,8 @@ def test_spectrum_invariant_under_rotation_noiseless_orthonormal():
     scn = table1_scenario(300, 12, seed=84)
     _, truth = generate(scn)
     rotation = random_orthogonal(3, seed=85)
-    lam_a = m_eigenvalues(q @ truth.factors, 1)
-    lam_b = m_eigenvalues((q @ rotation) @ truth.factors, 1)
+    lam_a = m_eigenvalues(Panel(q @ truth.factors), 1)
+    lam_b = m_eigenvalues(Panel((q @ rotation) @ truth.factors), 1)
     assert np.abs(lam_a - lam_b).max() <= 1e-10 * lam_a[0]
     assert estimate(Panel(q @ truth.factors), k0=1).r_hat == estimate(
         Panel((q @ rotation) @ truth.factors), k0=1
@@ -585,8 +583,8 @@ def test_spectrum_invariant_under_rotation_noiseless_orthonormal():
 def test_scale_equivariance_fourth_power():
     panel = ar1_panel(120, 6, seed=86)
     c = 3.7
-    lam = m_eigenvalues(panel.values, 2)
-    lam_scaled = m_eigenvalues(c * panel.values, 2)
+    lam = m_eigenvalues(panel, 2)
+    lam_scaled = m_eigenvalues(Panel(c * panel.values), 2)
     assert_allclose(lam_scaled, c**4 * lam, rtol=1e-8)
     base = estimate(panel, k0=2)
     scaled = estimate(Panel(c * panel.values), k0=2)
@@ -610,9 +608,8 @@ def test_concurrent_eigensolves_equal_their_serial_results():
     def solve(index):
         try:
             for _ in range(30):
-                system = sym_eigen(jobs[index])
-                if (system.eigenvalues.tobytes() != serial[index].eigenvalues.tobytes()
-                        or system.eigenvectors.tobytes() != serial[index].eigenvectors.tobytes()):
+                pair = sym_eigen(jobs[index])
+                if any(a.tobytes() != b.tobytes() for a, b in zip(pair, serial[index])):
                     mismatches.append(index)
         except Exception as exc:  # reported below, in the test's thread
             errors.append(exc)
@@ -635,12 +632,6 @@ def test_concurrent_eigensolves_equal_their_serial_results():
 # ---------------------------------------------------------------- input checks
 
 @pytest.mark.parametrize("call, args, error, message", [
-    (estimation.AutocovSet, (2, (np.eye(2),), np.eye(2)), DimensionError,
-     "^expected 3 autocovariance matrices, got 1$"),
-    (estimation.AutocovSet, (0, (np.eye(2),), np.array([[1.0, 1.0], [0.0, 1.0]])), DomainError,
-     "^pooled matrix is not symmetric$"),
-    (estimation.EigenSystem, (np.array([1.0, 2.0]), np.eye(2)), DomainError,
-     "^eigenvalues must be in descending order$"),
     (sym_eigen, (np.ones((2, 3)),), DimensionError,
      r"^expected a square matrix, got shape \(2, 3\)$"),
     (ratio_estimate, ([1.0],), DimensionError,
@@ -649,8 +640,13 @@ def test_concurrent_eigensolves_equal_their_serial_results():
      "^need one AR coefficient per factor, got 1 for 2 factors$"),
     (population_m, (np.ones((4, 1)), [0.5], 0), DomainError,
      "^k0 must be a positive integer, got 0$"),
-], ids=["autocov-count", "autocov-asymmetric", "eigen-ascending", "sym-eigen-non-square",
-        "ratio-one-eigenvalue", "population-ar-count", "population-k0"])
+] + [
+    # The spectrum-only path checks k0 as a fit does; the panel has n = 30.
+    (fit, (Panel(np.arange(150.0).reshape(5, 30) % 7), k0), DomainError,
+     rf"^k0 must be an integer in \[1, n-2\] = \[1, 28\], got {k0}$")
+    for k0 in (0, 29, 30) for fit in (m_eigenvalues, estimate)
+], ids=["sym-eigen-non-square", "ratio-one-eigenvalue", "population-ar-count", "population-k0"]
+    + [f"{fit}-k0-{k0}" for k0 in ("0", "n-1", "n") for fit in ("m-eigenvalues", "estimate")])
 def test_estimation_rejects_malformed_input(call, args, error, message):
     with pytest.raises(error, match=message):
         call(*args)

@@ -62,7 +62,7 @@ def _counts(values, k0, wc):
     assert np.array_equal(one.eigenvalues, two.eigenvalues)
     assert np.array_equal(one.ratios, two.ratios, equal_nan=True)
     assert np.array_equal(one.loadings, two.loadings[:, : two.r1_hat])
-    lam = m_eigenvalues(values, k0, window_centering=wc)
+    lam = m_eigenvalues(panel, k0, window_centering=wc)
     return (one.r_hat, two.r1_hat, two.r2_hat,
             ratio_estimate(lam, default_ratio_span(panel.p))[0])
 

@@ -263,9 +263,14 @@ def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
      "ratio estimation needs p >= 2, got p = 1"),
     (lambda: two_step_study(s1_scenario(60, 1, seed=1), reps=3),
      "ratio estimation needs p >= 2, got p = 1"),
+    (lambda: Scenario(n=60, p=10, r=1, deltas=(0.0,), ar_coeffs=(0.5,), k0=1.5, seed=1),
+     "k0 must be an integer in [1, n-2] = [1, 58], got 1.5"),
+    (lambda: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, k0=2.5),
+     "k0 must be an integer in [1, n-2] = [1, 58], got 2.5"),
 ], ids=["table1-nan-rule", "table1-overflowing-rule", "ratio-trace-nan-p-coef",
         "eigen-error-infinite-p-coef", "table1-negative-seed", "negative-seed",
-        "table1-p-of-1", "ratio-trace-p-of-1", "two-step-p-of-1"])
+        "table1-p-of-1", "ratio-trace-p-of-1", "two-step-p-of-1", "scenario-fractional-k0",
+        "table1-fractional-k0"])
 def test_a_bad_study_input_raises_before_any_replication(monkeypatch, study, message):
     def no_replications(*args):
         raise AssertionError("a replication ran")
