@@ -61,7 +61,9 @@ def _add_panel_flags(sub):
                      help="remove per-season means before fitting (e.g. 12 for monthly data)")
     sub.add_argument("--k0", type=int, default=DEFAULT_K0, help="largest autocovariance lag pooled")
     sub.add_argument("--max-ratio-index", type=int, default=None,
-                     help="largest index searched by the ratio rule (default p/2)")
+                     help="largest index searched by the ratio rule (default "
+                          "floor(min(p, n-1)/2), half the centred panel's rank bound; "
+                          "Ahn & Horenstein 2013)")
     sub.add_argument("--appendix-centering", action="store_true",
                      help="center each lag window by its own mean instead of the full-sample mean")
     sub.add_argument("--out", default=".", help="output directory")
@@ -228,11 +230,18 @@ def _integer(value) -> int:
     return int(value)
 
 
-_ints, _floats = _many(_integer), _many(float)
+def _real(value) -> float:
+    """``float(value)``, refusing a bool."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
+_ints, _floats = _many(_integer), _many(_real)
 
 
 def _optional_float(value):
-    return None if value is None else float(value)
+    return None if value is None else _real(value)
 
 
 def _study_file(args, study=None):
@@ -257,7 +266,7 @@ def _study_file(args, study=None):
 def _scenario_from_config(config: dict, seed) -> Scenario:
     _require(config, "n", "p", "r")
     given = _given(config, r=_integer, deltas=_floats, ar_coeffs=_floats, n=_integer,
-                   p=_integer, noise_var=float, k0=_integer, loading_scheme=str)
+                   p=_integer, noise_var=_real, k0=_integer, loading_scheme=str)
     for key, default in (("deltas", [0.0]), ("ar_coeffs", [0.5])):
         values = given.get(key, default)
         given[key] = tuple(values * given["r"] if len(values) == 1 else values)
@@ -283,7 +292,7 @@ def cmd_simulate(args) -> int:
     if study == "table1":
         _require(config, "n_grid", "p_rules")
         grid = _given(config, deltas=_floats, n_grid=_ints, p_rules=_floats,
-                      r=_integer, ar_coeffs=_floats, noise_var=float, k0=_integer)
+                      r=_integer, ar_coeffs=_floats, noise_var=_real, k0=_integer)
         grid.setdefault("deltas", [0.0])
         cells = run_table1(reps=reps, base_seed=seed, **grid)
         out = _out_dir(args)

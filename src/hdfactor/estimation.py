@@ -283,9 +283,19 @@ def _in_panel(basis: Optional[np.ndarray], coord_vectors: np.ndarray) -> np.ndar
     return coord_vectors if basis is None else _normalize_signs(basis @ coord_vectors)
 
 
-def default_ratio_span(p: int) -> int:
-    """Default search span for the ratio estimator: floor(p/2), capped at p-1."""
-    return min(max(1, p // 2), p - 1)
+def default_ratio_span(p: int, n: Optional[int] = None) -> int:
+    """Default search span R of the ratio estimator: half a bound on the pooled matrix's rank.
+
+    Without ``n`` the bound is p.  With ``n`` it is min(p, n-1), the rank
+    bound of the centred panel and so of its pooled matrix: past it the
+    spectrum is zeros and roundoff, where the ratio minimum would land on
+    the rank limit.  Ratio rules bound their search well below min(n, p)
+    (Ahn & Horenstein 2013, Econometrica; on lag-autocovariance spectra
+    with p/n -> c, Li, Wang & Yao 2017, Ann. Statist.).  R lies in
+    [1, p-1], and for p <= n-1 both forms agree.
+    """
+    rank = p if n is None else min(p, n - 1)
+    return min(max(1, rank // 2), p - 1)
 
 
 def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = None):
@@ -306,7 +316,9 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = Non
         clamped to zero.
     ratio_span : int, optional
         Largest index searched (the constant R).  Defaults to
-        ``min(max(1, p // 2), p - 1)``.
+        ``default_ratio_span(p)``, which knows only p; a caller that knows
+        the panel's sample size passes ``default_ratio_span(p, n)``, as
+        ``estimate`` and the studies do.
     """
     lam = np.asarray(eigenvalues, dtype=float).copy()
     p = lam.size
@@ -371,9 +383,9 @@ def estimate(
     eigenvalues, the factor series is their projection of the centered
     panel, and the residuals are the orthogonal remainder.
 
-    A univariate panel (p = 1) skips the ratio search, which needs two
-    eigenvalues: its single direction is the one factor, with an empty
-    ratio trace.
+    ``ratio_span`` defaults to ``default_ratio_span(p, n)``.  A univariate
+    panel (p = 1) skips the ratio search, which needs two eigenvalues: its
+    single direction is the one factor, with an empty ratio trace.
     """
     _validate_lag(panel.n, k0, largest=True)
     k0 = int(k0)
@@ -386,7 +398,7 @@ def estimate(
     if panel.p == 1:
         span, r_hat, ratios = 0, 1, np.empty(0)
     else:
-        span = default_ratio_span(panel.p) if ratio_span is None else int(ratio_span)
+        span = default_ratio_span(panel.p, panel.n) if ratio_span is None else int(ratio_span)
         r_hat, ratios = ratio_estimate(lam, span)
     centered = values - values.mean(axis=1, keepdims=True)
     return FactorModel(

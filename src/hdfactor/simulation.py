@@ -77,9 +77,10 @@ class Scenario:
     """One simulation design: dimensions, factor strengths, dynamics, seed.
 
     ``deltas[j]`` is the strength exponent of factor j: its loading column
-    is drawn entrywise from U[-1, 1] and divided by p**(delta/2), so the
-    squared column norm grows like p**(1-delta).  Strength 0 is a strong
-    factor loading on most series; larger deltas thin the loading out.
+    is drawn entrywise from U[-1, 1] (all ones under the ``all-ones``
+    scheme) and divided by p**(delta/2), so the squared column norm grows
+    like p**(1-delta).  Strength 0 is a strong factor loading on most
+    series; larger deltas thin the loading out.
     The factor process is a diagonal VAR(1) with unit-variance Gaussian
     innovations, and the noise is i.i.d. Gaussian.
     """
@@ -233,6 +234,22 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _loadings(scenario: Scenario, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """The scenario's p x r loading matrix, each column j divided by p**(deltas[j]/2).
+
+    Its entries are ones under the all-ones scheme, which draws nothing
+    (``rng`` may be None), and U[-1, 1] draws from ``rng`` otherwise.
+    """
+    p, r = scenario.p, scenario.r
+    if scenario.loading_scheme == "all-ones":
+        loadings = np.ones((p, r))
+    else:
+        loadings = rng.uniform(-1.0, 1.0, size=(p, r))
+    for j in range(r):
+        loadings[:, j] /= p ** (scenario.deltas[j] / 2.0)
+    return loadings
+
+
 def generate(scenario: Scenario):
     """Draw one panel from the scenario, returning it with its truth.
 
@@ -243,12 +260,7 @@ def generate(scenario: Scenario):
     """
     rng = np.random.default_rng(np.random.SeedSequence(scenario.seed))
     p, n, r = scenario.p, scenario.n, scenario.r
-    if scenario.loading_scheme == "all-ones":
-        loadings = np.ones((p, r))
-    else:
-        loadings = rng.uniform(-1.0, 1.0, size=(p, r))
-        for j in range(r):
-            loadings[:, j] /= p ** (scenario.deltas[j] / 2.0)
+    loadings = _loadings(scenario, rng)
     innovations = rng.standard_normal((r, n + FACTOR_BURN_IN))
     factors = np.empty_like(innovations)
     for j in range(r):
@@ -407,12 +419,12 @@ def _spectrum(scn: Scenario, panel: Panel) -> np.ndarray:
 
 def _ratio_count(scn: Scenario, panel: Panel) -> int:
     """Measure: the ratio estimate of the factor count over the default span."""
-    return ratio_estimate(_spectrum(scn, panel), default_ratio_span(scn.p))[0]
+    return ratio_estimate(_spectrum(scn, panel), default_ratio_span(scn.p, scn.n))[0]
 
 
 def _ratio_trace(scn: Scenario, panel: Panel) -> np.ndarray:
     """Measure: the eigenvalue-ratio sequence over the default span."""
-    return ratio_estimate(_spectrum(scn, panel), default_ratio_span(scn.p))[1]
+    return ratio_estimate(_spectrum(scn, panel), default_ratio_span(scn.p, scn.n))[1]
 
 
 def _two_step_counts(scn: Scenario, panel: Panel) -> tuple:
@@ -528,8 +540,8 @@ def eigen_error_study(
     too_small = [p for p in p_of_n.values() if p < max(tracked_j)]
     if too_small:
         raise DomainError(f"tracked index {max(tracked_j)} exceeds dimension {too_small[0]}")
-    oracle = {p: population_m(np.ones((p, scenario.r)), scenario.ar_coeffs, scenario.k0)[1]
-              for p in set(p_of_n.values())}
+    oracle = {scn.p: population_m(_loadings(scn), scenario.ar_coeffs, scenario.k0)[1]
+              for scn, _ in cells}
     spectra = _replicate(cells, reps, workers, _spectrum)
     return EigenErrorStudy(
         scenario=scenario,

@@ -78,7 +78,7 @@ def random_orthogonal(size, seed):
 def dense_reference(panel, k0, wc):
     """Spectrum, eigenvectors and ratio search of the explicit p x p matrix."""
     eigenvalues, eigenvectors = sym_eigen(build_m(panel, k0, window_centering=wc))
-    r_hat, ratios = ratio_estimate(eigenvalues, default_ratio_span(panel.p))
+    r_hat, ratios = ratio_estimate(eigenvalues, default_ratio_span(panel.p, panel.n))
     return eigenvalues, eigenvectors, r_hat, ratios
 
 

@@ -495,10 +495,20 @@ def test_simulate_non_numeric_scenario_value_exits_2(tmp_path):
     ("case.json", '{"study": "ratio-trace", "n": 60, "p": 10, "r": true}', ("--reps", 2),
      "r", "True"),
     ("case.cfg", "study = ratio-trace\nn = 60\np = 10\nr = 1\nreps = 3.7\n", (), "reps", "3.7"),
-], ids=["json-k0", "json-n-grid", "json-bool-r", "flat-reps"])
+    ("case.json", '{"study": "table1", "n_grid": [60], "p_rules": [0.2], "noise_var": true}',
+     ("--reps", 2), "noise_var", "True"),
+    ("case.json", '{"study": "table1", "n_grid": [60], "p_rules": [true, 0.5]}', ("--reps", 2),
+     "p_rules", "[True, 0.5]"),
+    ("case.json", '{"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "deltas": false}',
+     ("--reps", 2), "deltas", "False"),
+    ("case.json", '{"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "p_coef": true}',
+     ("--reps", 2), "p_coef", "True"),
+], ids=["json-k0", "json-n-grid", "json-bool-r", "flat-reps", "json-bool-noise-var",
+        "json-bool-p-rules", "json-bool-deltas", "json-bool-p-coef"])
 def test_a_fractional_integer_key_exits_2_and_leaves_no_output(tmp_path, name, text, flags, key,
                                                                 value):
-    # Converting with int() would truncate the value and run another design.
+    # Converting with int() would truncate the value and run another design,
+    # and float() would read a boolean as 0 or 1.
     cfg = tmp_path / name
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -744,13 +754,27 @@ def test_cli_commands_run_single_thread_blas_and_restore_the_count(tmp_path, mon
     assert seen == [1]
 
 
+def test_fits_at_p_ten_times_n_search_half_the_rank(tmp_path):
+    # A centred n=60 panel has rank 59: the default span stops at 29, and no
+    # fit writes the n-1 directions a span of p/2 would reach.
+    path, _ = write_panel_csv(tmp_path, n=60, p=600, seed=21)
+    for command in ("estimate", "two-step"):
+        out = tmp_path / command
+        proc = run_cli(command, path, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["R"] == 29
+        assert doc["r_hat"] <= 29
+        assert (doc["loadings"]["rows"], doc["loadings"]["cols"]) == (600, doc["r_hat"])
+
+
 # sha256 of model.json from `estimate` and `two-step` with default flags on
-# the seeded n=40, p=100 panel below, computed with the per-item JSON writer
-# this package used before it streamed its output.  A fit that changes its
-# output (r_hat, spectra or loadings) changes these digests too.
+# the seeded n=40, p=100 panel below, whose default ratio span is
+# floor(39/2) = 19.  A fit that changes its output (r_hat, spectra or
+# loadings) changes these digests too.
 MODEL_JSON_SHA256 = {
-    "estimate": "a9f7592b683e435f91b8bc9888f63d6451516d493c9c40250573e534c4da88d8",
-    "two-step": "a4da9aa9b2bc125f4fcba84bb5b17e319539868d53ca2d8907475ac65b592f75",
+    "estimate": "0a56f6f6bb90c0fe8a070b14e97b644fc74d9fcb4dd2a29d0943b345080c8134",
+    "two-step": "edf540956649efb3c87d04e30101687c61933b82bec3431d8cc531e779d9e052",
 }
 
 
@@ -765,14 +789,14 @@ def test_wide_panel_model_json_bytes_are_pinned(tmp_path):
 
 
 # sha256 of every file `estimate --dump-loadings --dump-factors` writes for
-# the panel above, computed while the CSV writer still formatted each value
-# on its own.
+# the panel above.  eigenvalues.csv was computed while the CSV writer still
+# formatted each value on its own.
 DUMP_SHA256 = {
     "eigenvalues.csv": "910d94e65e34ae0be3f35ceaf935d5780766e4f2c19e381e8e387aa9e80d049c",
-    "factors.csv": "7b243ac73496879272d4c190a8df0f6cb81d58a7ed5f9ba65b3eb513fef00686",
-    "loadings.csv": "ba52ac00b879b9982c793ead93b2b3685e7a203a40a3eb66307231235b7ed5b8",
+    "factors.csv": "c7471ef7b4e0447c3c197182da399cb5733f1cf97966fde6f64ba22d9f214c3e",
+    "loadings.csv": "74b6c044b11220518638aa7a5be9eae639ab9b067f2359ffc29fccf6997f5206",
     "model.json": MODEL_JSON_SHA256["estimate"],
-    "ratios.csv": "567d8350d1e5fdcc10d444e57e1c462eae191ad257f460fff4b1ccc6144322cb",
+    "ratios.csv": "ab0e99d57143c7ab4d62fb2f9b8c3c2b698ca1a873a7cd110b2b7a1fc721304b",
 }
 
 

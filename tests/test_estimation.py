@@ -328,7 +328,7 @@ def test_fast_spectrum_matches_full_decomposition():
                 fast = m_eigenvalues(panel, 1)
                 model = estimate(panel, k0=1)
                 assert np.abs(fast - model.eigenvalues).max() <= 1e-12 * model.eigenvalues[0]
-                assert ratio_estimate(fast, default_ratio_span(p))[0] == model.r_hat
+                assert ratio_estimate(fast, default_ratio_span(p, n))[0] == model.r_hat
 
 
 # ---------------------------------------------------------------- pooled kernel

@@ -64,7 +64,7 @@ def _counts(values, k0, wc):
     assert np.array_equal(one.loadings, two.loadings[:, : two.r1_hat])
     lam = m_eigenvalues(panel, k0, window_centering=wc)
     return (one.r_hat, two.r1_hat, two.r2_hat,
-            ratio_estimate(lam, default_ratio_span(panel.p))[0])
+            ratio_estimate(lam, default_ratio_span(panel.p, panel.n))[0])
 
 
 def _first_residual_acf(fit):
@@ -112,6 +112,22 @@ def test_counts_do_not_change_when_the_panel_is_rotated(n, p, strong, seed):
     # spectrum, and every count taken from it, stays the same.
     values = generate(strong(n, p, seed=seed))[0].values
     assert _counts(random_orthogonal(p, seed) @ values, 1, False) == _counts(values, 1, False)
+
+
+@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@hypothesis.given(
+    n=st.integers(12, 60),
+    times=st.sampled_from([2, 5, 10]),
+    strong=st.sampled_from([s1_scenario, table1_scenario]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wide_panels_search_half_the_rank(n, times, strong, seed):
+    # A centred panel has rank at most n-1; past it the spectrum is zeros and
+    # roundoff, and a span reaching there would count n-1 factors.
+    fit = estimate(generate(strong(n, times * n, seed=seed))[0], 1)
+    assert fit.ratio_span == (n - 1) // 2
+    assert fit.r_hat <= fit.ratio_span < n - 1
+    assert all(default_ratio_span(p, n) == default_ratio_span(p) for p in range(1, n))
 
 
 # ---------------------------------------------------------------- pooled eigensolver

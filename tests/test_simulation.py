@@ -88,7 +88,7 @@ def _two_step_counts(workers, n, p):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("study, digest", [
-    (_table1_counts, "a4152b7a0fb453de5024f13ad949bf3a14d60d15f6d993fe90c5d95796067883"),
+    (_table1_counts, "cf0278b3245c1194b33526a7452d45ed02446fedc0eea4cfc9fb06900569e27f"),
     (lambda workers: _eigen_errors(workers, None),
      "b7de5a5b073b10d2b25a94f2aac13a2cdd55f60864c14ddca589e885332428b7"),
     (lambda workers: _eigen_errors(workers, 0.5),
@@ -97,7 +97,7 @@ def _two_step_counts(workers, n, p):
     (lambda workers: _two_step_counts(workers, 100, 30),
      "aacaf8117d2582262d1cebd972bd15be6ba9094a300fe559a48cf55f988d102a"),
     (lambda workers: _two_step_counts(workers, 50, 80),
-     "b1ff7d80fca322764ca3a318e1a236e01c86d2fa41fbb43f63629a7a485e369b"),
+     "c6828cf5a294163801fcdc843779aff5717ef7d040d0da8b799f01ff45c0ddc1"),
 ], ids=["table1", "eigen-error", "eigen-error-p-coef", "ratio-trace", "two-step", "two-step-p>n"])
 def test_study_outputs_pin_their_bits(study, digest, workers):
     # The worker-count tests compare worker counts with each other; these
@@ -115,6 +115,16 @@ def test_generate_different_seeds_differ():
 def test_generate_all_ones_loadings_are_exactly_one():
     _, truth = generate(s1_scenario(60, 30, seed=3))
     assert np.array_equal(truth.loadings, np.ones((30, 1)))
+
+
+def test_generate_all_ones_loadings_honour_the_strength_exponent():
+    scn = Scenario(n=50, p=20, r=1, deltas=(0.5,), ar_coeffs=(0.7,), loading_scheme="all-ones")
+    _, truth = generate(scn)
+    assert_allclose(truth.loadings, np.full((20, 1), 20 ** -0.25), rtol=1e-15)
+    # The eigen-error oracle is built from the same loadings.
+    study = eigen_error_study(scn, [50], [1], reps=1, workers=1)
+    lam1 = (20 * 20 ** -0.5) ** 2 * (0.7 / 0.51) ** 2
+    assert_allclose(study.population[50], [lam1], rtol=1e-12)
 
 
 def test_generate_weak_loading_norm_concentration():
