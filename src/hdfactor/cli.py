@@ -19,23 +19,49 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, _openblas
-from .diagnostics import cross_acf, projection_residual_ratio, residual_projection_acf, variance_explained
+from . import __version__
 from .errors import DimensionError, DomainError, HDFactorError, ParseError
-from .estimation import DEFAULT_K0, estimate, two_step_estimate
-from .panel import SeasonalSpec, load_csv, seasonal_demean, write_matrix_csv
-from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
-from .simulation import (
-    GENERATOR_ID,
-    Scenario,
-    eigen_error_study,
-    fit_error_slopes,
-    ratio_trace_study,
-    run_table1,
-    two_step_study,
-)
+
+
+def _load_library() -> None:
+    """Bind numpy and the library names the commands use, keeping any already bound.
+
+    ``main`` calls this after a successful parse, so ``--version``, ``--help``
+    and usage errors never import numpy.  A name already bound, such as a
+    test's monkeypatch or a tracing wrapper on ``estimate``, is kept.
+    """
+    import numpy as np
+
+    from . import _openblas
+    from .diagnostics import cross_acf, projection_residual_ratio, residual_projection_acf, variance_explained
+    from .estimation import estimate, two_step_estimate
+    from .panel import SeasonalSpec, load_csv, seasonal_demean, write_matrix_csv
+    from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
+    from .simulation import (
+        GENERATOR_ID,
+        Scenario,
+        eigen_error_study,
+        fit_error_slopes,
+        ratio_trace_study,
+        run_table1,
+        two_step_study,
+    )
+
+    for name, value in list(locals().items()):
+        globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    # An outside reader's first look at a library name (``cli.estimate``)
+    # binds them all; dunder lookups by the import system never do.
+    if name.startswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_library()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
 
 ORIENTATION_FLAGS = {"time-rows": "rows-are-time", "series-rows": "rows-are-series"}
 
@@ -59,7 +85,7 @@ def _add_panel_flags(sub):
     sub.add_argument("--orientation", choices=sorted(ORIENTATION_FLAGS), default="time-rows")
     sub.add_argument("--seasonal-period", type=int, default=None,
                      help="remove per-season means before fitting (e.g. 12 for monthly data)")
-    sub.add_argument("--k0", type=int, default=DEFAULT_K0, help="largest autocovariance lag pooled")
+    sub.add_argument("--k0", type=int, default=None, help="largest autocovariance lag pooled")
     sub.add_argument("--max-ratio-index", type=int, default=None,
                      help="largest index searched by the ratio rule (default "
                           "floor(min(p, n-1)/2), half the centred panel's rank bound; "
@@ -118,12 +144,15 @@ def _fit(args):
     panel = load_csv(args.input, ORIENTATION_FLAGS[args.orientation])
     if args.seasonal_period is not None:
         panel = seasonal_demean(panel, SeasonalSpec(args.seasonal_period))
+    # Without --k0 the library's own default lag applies.
+    lag = {} if args.k0 is None else {"k0": args.k0}
     if args.two_step:
-        model = two_step_estimate(panel, args.k0, args.max_ratio_index, getattr(args, "r1", None),
-                                  window_centering=args.appendix_centering)
+        model = two_step_estimate(panel, ratio_span=args.max_ratio_index,
+                                  r1_override=getattr(args, "r1", None),
+                                  window_centering=args.appendix_centering, **lag)
     else:
-        model = estimate(panel, args.k0, args.max_ratio_index,
-                         window_centering=args.appendix_centering)
+        model = estimate(panel, ratio_span=args.max_ratio_index,
+                         window_centering=args.appendix_centering, **lag)
     return panel, model
 
 
@@ -373,6 +402,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    _load_library()
     try:
         with _openblas.single_thread_blas:
             return args.func(args)

@@ -1,6 +1,8 @@
 """The package's public surface, and the attributes the benchmark's tracer wraps."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +41,9 @@ def test_every_attribute_the_benchmark_wraps_exists_and_is_restored(monkeypatch)
     spec.loader.exec_module(spans)
 
     modules = (cli, estimation, simulation)
+    # The cli binds its library names on first read; read one now, so the
+    # tracer's own reads below leave vars(cli) as it was.
+    cli.load_csv
     before = [dict(vars(module)) for module in modules]
     tracer = spans.Tracer()
     try:
@@ -51,3 +56,49 @@ def test_every_attribute_the_benchmark_wraps_exists_and_is_restored(monkeypatch)
     for module, old in zip(modules, before):
         assert vars(module).keys() == old.keys()
         assert all(vars(module)[name] is value for name, value in old.items())
+
+
+_FRESH_START = """
+import contextlib, io, json, sys
+from hdfactor import cli
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+numpy_loaded = "numpy" in sys.modules
+namespace = {}
+exec("from hdfactor import *", namespace)
+import hdfactor
+print(json.dumps({"runs": runs, "numpy_loaded": numpy_loaded,
+                  "star": sorted(set(namespace) - {"__builtins__"}), "dir": dir(hdfactor)}))
+"""
+
+
+def test_version_help_and_usage_errors_start_without_numpy(capsys, monkeypatch):
+    argvs = [["--version"], ["--help"], ["estimate", "--help"],
+             ["estimate", "panel.csv", "--no-such-flag"]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    proc = subprocess.run([sys.executable, "-c", _FRESH_START, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    assert not fresh["numpy_loaded"]
+
+    # Each run prints what it prints in this process, where numpy is loaded.
+    expected = []
+    for argv in argvs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        expected.append([code, captured.out, captured.err])
+    assert fresh["runs"] == expected
+    assert [code for code, _, _ in expected] == [0, 0, 0, 3]
+    assert expected[0][1] == f"hdfactor {hdfactor.__version__}\n"
+    assert expected[1][1].startswith("usage: hdfactor")
+    assert "--k0 K0" in expected[2][1]
+    assert "unrecognized arguments: --no-such-flag" in expected[3][2]
+
+    assert fresh["star"] == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(fresh["dir"])

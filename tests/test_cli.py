@@ -198,16 +198,21 @@ def test_two_step_full_rank_override_reports_empty_second_pass(tmp_path):
     assert doc["step2_no_sharp_minimum"] is True
 
 
-def test_import_loads_no_third_party_package_but_numpy():
+def test_import_loads_no_third_party_package_but_numpy(tmp_path):
+    # The library loads on first use, so use a public name and run a fit
+    # before listing what was imported.
+    path, _ = write_panel_csv(tmp_path, n=60, p=8)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; before = set(sys.modules); import hdfactor, hdfactor.cli; "
+         "hdfactor.Panel; "
+         f"assert hdfactor.cli.main(['estimate', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
          "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
          "print(sorted(new - set(sys.stdlib_module_names)))"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['hdfactor', 'numpy']"
+    assert proc.stdout.strip().splitlines()[-1] == "['hdfactor', 'numpy']"
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -779,6 +784,8 @@ MODEL_JSON_SHA256 = {
 
 
 def test_wide_panel_model_json_bytes_are_pinned(tmp_path):
+    # Run without --k0, so the digests also pin the CLI's default lag
+    # ("k0": 5, the library's DEFAULT_K0).
     path, _ = write_panel_csv(tmp_path, n=40, p=100, seed=8)
     for command, digest in MODEL_JSON_SHA256.items():
         out = tmp_path / command
