@@ -119,13 +119,20 @@ class FactorModel:
         return float(_in_units(np.sqrt((self._unit_residuals**2).mean()), self._exponent))
 
 
-def _validate_lag(n: int, k: int, largest: bool = False) -> None:
-    label = "k0" if largest else "lag k"
-    low = 1 if largest else 0
-    if int(k) != k or k < low or k > n - 2:
+def _integer_in(label: str, value, low: int, high: int, bound: str) -> int:
+    """``int(value)``, or a DomainError unless ``value`` is an integer in [low, high].
+
+    ``bound`` is how the message names ``high``, such as "n-2".
+    """
+    if int(value) != value or not low <= value <= high:
         raise DomainError(
-            f"{label} must be an integer in [{low}, n-2] = [{low}, {n - 2}], got {k}"
+            f"{label} must be an integer in [{low}, {bound}] = [{low}, {high}], got {value}"
         )
+    return int(value)
+
+
+def _validate_lag(n: int, k: int, largest: bool = False) -> int:
+    return _integer_in("k0" if largest else "lag k", k, 1 if largest else 0, n - 2, "n-2")
 
 
 def _lag_covs(values: np.ndarray, lags, window_centering: bool):
@@ -154,8 +161,7 @@ def sample_autocov(panel: Panel, k: int, *, window_centering: bool = False) -> n
     DomainError
         If ``k`` is not in ``[0, n-2]`` (insufficient data).
     """
-    _validate_lag(panel.n, k)
-    return next(_lag_covs(panel.values, [int(k)], window_centering))
+    return next(_lag_covs(panel.values, [_validate_lag(panel.n, k)], window_centering))
 
 
 def _pool(lag_covs) -> np.ndarray:
@@ -182,8 +188,8 @@ def build_m(panel: Panel, k0: int, *, window_centering: bool = False) -> np.ndar
     This is the dense reference that the tests hold fits to; the fits
     themselves pool in the panel's column span (see ``_pooled_eigen``).
     """
-    _validate_lag(panel.n, k0, largest=True)
-    return _pool(_lag_covs(panel.values, range(1, int(k0) + 1), window_centering))
+    k0 = _validate_lag(panel.n, k0, largest=True)
+    return _pool(_lag_covs(panel.values, range(1, k0 + 1), window_centering))
 
 
 def _normalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -212,22 +218,6 @@ def sym_eigen(m: np.ndarray):
     m = (m + m.T) / 2
     values, vectors = np.linalg.eigh(m)  # ascending
     return values[::-1].copy(), _normalize_signs(vectors[:, ::-1])
-
-
-def _span(values: np.ndarray, basis: bool = True):
-    """Basis and coordinates of the panel's column span.
-
-    For p <= n the basis is the identity (``None``) and the coordinates are
-    the panel itself.  For p > n they are the reduced QR ``values = Q R``,
-    with Q of shape p x n; QR needs no rank threshold, unlike an SVD.  With
-    ``basis`` false Q is not formed (``None``); R comes from the same
-    factorization, bit for bit.
-    """
-    if values.shape[0] <= values.shape[1]:
-        return None, values
-    if basis:
-        return np.linalg.qr(values)
-    return None, np.linalg.qr(values, mode="r")
 
 
 def _unit_scale(values: np.ndarray):
@@ -278,27 +268,52 @@ def _pooled_eigen(coords, p: int, k0: int, window_centering: bool = False, vecto
     return lam, coord_vectors
 
 
+def _panel_spectrum(panel: Panel, k0: int, window_centering: bool, vectors: bool):
+    """Front end of every fit and spectrum: ``(lam, vectors, basis, coords, values, e)``.
+
+    It checks ``k0``, rescales (``values`` is the panel times 2^-e), rejects
+    a panel of constant series, and solves the pooled matrix in the panel's
+    column span.  For p <= n the basis is the identity (``None``) and the
+    coordinates are ``values``; for p > n they are the reduced QR
+    ``values = Q R``, Q of shape p x n, which needs no rank threshold,
+    unlike an SVD.  Without ``vectors`` neither Q nor the eigenvectors are
+    formed (``None``), and R comes from the same factorization, bit for bit.
+    """
+    k0 = _validate_lag(panel.n, k0, largest=True)
+    values, e = _unit_scale(panel.values)
+    # Centring a constant series can leave roundoff, which would count as a factor.
+    # Two columns settle almost every panel before the whole one is compared.
+    if not np.any(values[:, 1] != values[:, 0]) and np.all(values == values[:, :1]):
+        raise DomainError("degenerate spectrum: the panel has zero variance")
+    if panel.p <= panel.n:
+        basis, coords = None, values
+    elif vectors:
+        basis, coords = np.linalg.qr(values)
+    else:
+        basis, coords = None, np.linalg.qr(values, mode="r")
+    lam, coord_vectors = _pooled_eigen(coords, panel.p, k0, window_centering, vectors)
+    return lam, coord_vectors, basis, coords, values, e
+
+
 def _in_panel(basis: Optional[np.ndarray], coord_vectors: np.ndarray) -> np.ndarray:
     """Map coordinate-space eigenvectors to sign-normalized panel-space ones."""
     return coord_vectors if basis is None else _normalize_signs(basis @ coord_vectors)
 
 
-def default_ratio_span(p: int, n: Optional[int] = None) -> int:
-    """Default search span R of the ratio estimator: half a bound on the pooled matrix's rank.
+def default_ratio_span(p: int, n: int) -> int:
+    """Default search span R of the ratio estimator: half the pooled matrix's rank bound.
 
-    Without ``n`` the bound is p.  With ``n`` it is min(p, n-1), the rank
-    bound of the centred panel and so of its pooled matrix: past it the
-    spectrum is zeros and roundoff, where the ratio minimum would land on
-    the rank limit.  Ratio rules bound their search well below min(n, p)
-    (Ahn & Horenstein 2013, Econometrica; on lag-autocovariance spectra
-    with p/n -> c, Li, Wang & Yao 2017, Ann. Statist.).  R lies in
-    [1, p-1], and for p <= n-1 both forms agree.
+    The bound is min(p, n-1), the rank bound of the centred panel and so of
+    its pooled matrix: past it the spectrum is zeros and roundoff, where the
+    ratio minimum would land on the rank limit.  Ratio rules bound their
+    search well below min(n, p) (Ahn & Horenstein 2013, Econometrica; on
+    lag-autocovariance spectra with p/n -> c, Li, Wang & Yao 2017, Ann.
+    Statist.).  R lies in [1, p-1].
     """
-    rank = p if n is None else min(p, n - 1)
-    return min(max(1, rank // 2), p - 1)
+    return min(max(1, min(p, n - 1) // 2), p - 1)
 
 
-def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = None):
+def ratio_estimate(eigenvalues: Sequence[float], ratio_span: int):
     """Estimate the number of factors from a descending spectrum.
 
     Returns ``(r_hat, ratios)`` where ``ratios[i-1]`` is the ratio of the
@@ -314,11 +329,10 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = Non
     eigenvalues : sequence of float
         Descending, nonnegative up to solver roundoff; small negatives are
         clamped to zero.
-    ratio_span : int, optional
-        Largest index searched (the constant R).  Defaults to
-        ``default_ratio_span(p)``, which knows only p; a caller that knows
-        the panel's sample size passes ``default_ratio_span(p, n)``, as
-        ``estimate`` and the studies do.
+    ratio_span : int
+        Largest index searched (the constant R), an integer in [1, p-1];
+        ``default_ratio_span(p, n)`` is the rule ``estimate`` and the
+        studies use.
     """
     lam = np.asarray(eigenvalues, dtype=float).copy()
     p = lam.size
@@ -331,11 +345,7 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = Non
     np.clip(lam, 0.0, None, out=lam)
     if lam[0] < 1e-300:
         raise DomainError("degenerate spectrum: all eigenvalues are numerically zero")
-    if ratio_span is None:
-        ratio_span = default_ratio_span(p)
-    ratio_span = int(ratio_span)
-    if not 1 <= ratio_span <= p - 1:
-        raise DomainError(f"ratio span must be in [1, p-1] = [1, {p - 1}], got {ratio_span}")
+    ratio_span = _integer_in("ratio span", ratio_span, 1, p - 1, "p-1")
 
     floor = RATIO_FLOOR * lam[0]
     ratios = np.full(ratio_span, np.nan)
@@ -348,25 +358,16 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: Optional[int] = Non
 def m_eigenvalues(panel: Panel, k0: int, *, window_centering: bool = False) -> np.ndarray:
     """Descending spectrum of the panel's pooled matrix, skipping eigenvector work.
 
-    Fast path for the Monte Carlo studies, which need only the spectrum.
-    It solves for eigenvalues alone (``np.linalg.eigvalsh``) where
-    ``estimate`` also forms the eigenvectors for its loadings; at the
-    studies' sizes (p = 20 to 200) the vectors cost 2 to 3 times as much,
-    so both modes stay.  The two agree in exact arithmetic but not
-    bitwise: their spectra differ by roundoff, within 1e-12 of the largest
-    eigenvalue, and give the same factor count on a seeded Table-1 grid
-    (pinned by the tests).  For p > n the entries past n are exact zeros,
-    and only the R of the panel's QR is formed.  ``k0`` is checked as in
-    ``estimate``.
-
-    For a panel that ``_unit_scale`` rescales by 2^-e (its largest |value|
-    lies outside [2^-64, 2^64]), the spectrum is that of the rescaled
-    panel, 2^(-4e) times the panel's own: the same ratios and counts, and
-    never past double range.
+    The studies count from it.  It runs ``estimate``'s front end, checks
+    and all, but solves for eigenvalues alone (``np.linalg.eigvalsh``, and
+    only the R of a wide panel's QR): at the studies' sizes the vectors
+    cost 2 to 3 times as much.  The two spectra differ by roundoff, within
+    1e-12 of the largest eigenvalue, and give the same counts on a seeded
+    Table-1 grid (pinned by the tests).  A panel that ``_unit_scale``
+    rescales by 2^-e gets the spectrum of the rescaled panel, 2^(-4e) times
+    its own: the same ratios and counts, never past double range.
     """
-    _validate_lag(panel.n, k0, largest=True)
-    coords = _span(_unit_scale(panel.values)[0], basis=False)[1]
-    return _pooled_eigen(coords, panel.p, int(k0), window_centering, False)[0]
+    return _panel_spectrum(panel, k0, window_centering, vectors=False)[0]
 
 
 def estimate(
@@ -387,23 +388,16 @@ def estimate(
     panel (p = 1) skips the ratio search, which needs two eigenvalues: its
     single direction is the one factor, with an empty ratio trace.
     """
-    _validate_lag(panel.n, k0, largest=True)
-    k0 = int(k0)
-    values, e = _unit_scale(panel.values)
-    if np.all(values.max(axis=1) == values.min(axis=1)):
-        # Centring a constant series can leave roundoff, which would count as a factor.
-        raise DomainError("degenerate spectrum: the panel has zero variance")
-    basis, coords = _span(values)
-    lam, vectors = _pooled_eigen(coords, panel.p, k0, window_centering)
+    lam, vectors, basis, coords, values, e = _panel_spectrum(panel, k0, window_centering, True)
     if panel.p == 1:
         span, r_hat, ratios = 0, 1, np.empty(0)
     else:
-        span = default_ratio_span(panel.p, panel.n) if ratio_span is None else int(ratio_span)
+        span = default_ratio_span(panel.p, panel.n) if ratio_span is None else ratio_span
         r_hat, ratios = ratio_estimate(lam, span)
     centered = values - values.mean(axis=1, keepdims=True)
     return FactorModel(
         r_hat=r_hat, loadings=_in_panel(basis, vectors[:, :r_hat]),
-        eigenvalues=_in_units(lam, 4 * e), ratios=ratios, k0=k0, ratio_span=span,
+        eigenvalues=_in_units(lam, 4 * e), ratios=ratios, k0=int(k0), ratio_span=int(span),
         _centered=centered, _unit_eigenvalues=lam, _exponent=e, _basis=basis, _vectors=vectors,
         _coords=centered if basis is None else coords - coords.mean(axis=1, keepdims=True),
     )
@@ -436,13 +430,10 @@ def two_step_estimate(
     if panel.p == 1:
         raise DomainError("two-step estimation is degenerate for a univariate panel")
     first = estimate(panel, k0, ratio_span, window_centering=window_centering)
-    r1 = first.r_hat if r1_override is None else int(r1_override)
+    r1 = first.r_hat if r1_override is None else r1_override
     # Past min(p, n) columns there are no computed directions to deflate.
     limit = min(panel.p - 1, first._vectors.shape[1])
-    if not 1 <= r1 <= limit:
-        raise DomainError(
-            f"first-pass factor count must be in [1, min(p-1, n)] = [1, {limit}], got {r1}"
-        )
+    r1 = _integer_in("first-pass factor count", r1, 1, limit, "min(p-1, n)")
     w1 = first._vectors[:, :r1]
     deflated = first._coords - w1 @ (w1.T @ first._coords)
     lam2, vectors2 = _pooled_eigen(deflated, panel.p, first.k0, window_centering)

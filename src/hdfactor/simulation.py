@@ -586,6 +586,12 @@ def fit_error_slopes(study: EigenErrorStudy, confidence_z: float = 1.96) -> list
     return fits
 
 
+def _column_medians(trace: np.ndarray) -> np.ndarray:
+    """Median of each column over its values; NaN, with no warning, where it holds none."""
+    empty = np.isnan(trace).all(axis=0)
+    return np.where(empty, np.nan, np.nanmedian(np.where(empty, 0.0, trace), axis=0))
+
+
 @_openblas.single_thread_blas
 def ratio_trace_study(
     scenario: Scenario,
@@ -604,7 +610,7 @@ def ratio_trace_study(
         n_grid=n_grid,
         p_of_n=p_of_n,
         traces=traces,
-        median_ratios={n: np.nanmedian(trace, axis=0) for n, trace in traces.items()},
+        median_ratios={n: _column_medians(trace) for n, trace in traces.items()},
     )
 
 

@@ -2,7 +2,9 @@
 
 pytest puts ``src`` on its own import path (``pyproject.toml``), but a
 ``python -m hdfactor`` subprocess only sees ``PYTHONPATH``; without this a
-checkout that was never installed would fail every CLI test.
+checkout that was never installed would fail every CLI test.  Those
+subprocesses also turn a ``RuntimeWarning`` into an error, as pytest does
+in-process, so a numpy warning cannot slip out on a CLI's stderr.
 """
 
 import os
@@ -12,3 +14,6 @@ import hdfactor
 
 _SRC = str(Path(hdfactor.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
+)

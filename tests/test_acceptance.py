@@ -101,7 +101,7 @@ def test_criterion_03_single_strong_factor_perfect_selection():
     results = {}
     for n in (50, 100, 200):
         p = n // 2
-        span = default_ratio_span(p)
+        span = default_ratio_span(p, n)
         hits = 0
         for rep in range(REPS):
             scn = s1_scenario(n, p, seed=derive_seed(ACCEPTANCE_SEED, 3, n, rep))

@@ -465,6 +465,17 @@ def test_simulate_ratio_trace_and_two_step(tmp_path):
     assert set(doc) >= {"freq_one_step", "freq_two_step", "freq_two_step_sharp"}
 
 
+def test_simulate_noiseless_ratio_trace_writes_nothing_to_stderr(tmp_path):
+    # Past the one factor every ratio is masked in every replication; those
+    # medians are written as null, and no numpy warning reaches stderr.
+    cfg = tmp_path / "noiseless.cfg"
+    cfg.write_text("study = ratio-trace\nn = 60\np = 8\nr = 1\nnoise_var = 0\n")
+    proc = run_cli("simulate", "--scenario", cfg, "--reps", 3, "--seed", 1, "--out", tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    medians = json.loads((tmp_path / "result.json").read_text())["median_ratios"]["60"]
+    assert medians[0] > 0 and medians[1:] == [None, None, None]
+
+
 def test_simulate_unknown_study_exits_2(tmp_path):
     cfg = tmp_path / "odd.json"
     cfg.write_text(json.dumps({"study": "mystery"}))

@@ -197,12 +197,12 @@ def test_ratio_estimate_tie_breaks_to_smallest_index():
 
 
 def test_ratio_estimate_default_span():
-    assert default_ratio_span(10) == 5
-    assert default_ratio_span(2) == 1
-    assert default_ratio_span(3) == 1
+    assert default_ratio_span(10, 100) == 5
+    assert default_ratio_span(2, 100) == 1
+    assert default_ratio_span(3, 100) == 1
     lam = [8.0, 4.0, 2.0, 0.002, 0.0019]
-    r_hat, ratios = ratio_estimate(lam)
-    assert (r_hat, ratios.size) == (1, default_ratio_span(5))
+    r_hat, ratios = ratio_estimate(lam, default_ratio_span(5, 100))
+    assert (r_hat, ratios.size) == (1, 2)
     assert np.array_equal(ratios, ratio_estimate(lam, 2)[1])
 
 
@@ -302,7 +302,8 @@ def test_a_panel_of_constant_series_has_no_fit(p, n, levels):
     # their own and keep roundoff too, so its pooled spectrum alone would
     # not reject it.
     values = np.repeat(np.resize(levels, p)[:, None], n, axis=1)
-    for fit in [estimate] if p == 1 else [estimate, two_step_estimate]:
+    # The spectrum alone shares the fits' front end and its check.
+    for fit in [estimate, m_eigenvalues] + ([] if p == 1 else [two_step_estimate]):
         with pytest.raises(DomainError,
                            match="^degenerate spectrum: the panel has zero variance$"):
             fit(Panel(values), k0=2, window_centering=True)
@@ -400,7 +401,7 @@ def test_overflowing_panel_gives_the_unit_scale_counts(n, p):
     assert (huge_two.r1_hat, huge_two.r2_hat) == (two.r1_hat, two.r2_hat)
     assert np.isposinf(huge_one.eigenvalues[0])
     assert_allclose(huge_one.factors, one.factors * 1e80, rtol=1e-10, atol=1e-10 * 1e80)
-    span = default_ratio_span(p)
+    span = default_ratio_span(p, n)
     assert ratio_estimate(m_eigenvalues(huge, 1), span)[0] == \
         ratio_estimate(m_eigenvalues(panel, 1), span)[0]
 
@@ -634,18 +635,27 @@ def test_concurrent_eigensolves_equal_their_serial_results():
 @pytest.mark.parametrize("call, args, error, message", [
     (sym_eigen, (np.ones((2, 3)),), DimensionError,
      r"^expected a square matrix, got shape \(2, 3\)$"),
-    (ratio_estimate, ([1.0],), DimensionError,
+    (ratio_estimate, ([1.0], 1), DimensionError,
      "^ratio estimation needs at least two eigenvalues$"),
     (population_m, (np.ones((4, 2)), [0.5], 1), DimensionError,
      "^need one AR coefficient per factor, got 1 for 2 factors$"),
     (population_m, (np.ones((4, 1)), [0.5], 0), DomainError,
      "^k0 must be a positive integer, got 0$"),
+    # A fractional span or first-pass count is refused, not truncated.
+    (ratio_estimate, ([8.0, 4.0, 2.0, 1.0, 0.5, 0.25], 2.5), DomainError,
+     r"^ratio span must be an integer in \[1, p-1\] = \[1, 5\], got 2.5$"),
+    (estimate, (ar1_panel(100, 8, seed=58), 1, 3.7), DomainError,
+     r"^ratio span must be an integer in \[1, p-1\] = \[1, 7\], got 3.7$"),
+    (two_step_estimate, (ar1_panel(100, 8, seed=58), 1, None, 1.9), DomainError,
+     r"^first-pass factor count must be an integer in \[1, min\(p-1, n\)\] = \[1, 7\], "
+     r"got 1.9$"),
 ] + [
     # The spectrum-only path checks k0 as a fit does; the panel has n = 30.
     (fit, (Panel(np.arange(150.0).reshape(5, 30) % 7), k0), DomainError,
      rf"^k0 must be an integer in \[1, n-2\] = \[1, 28\], got {k0}$")
     for k0 in (0, 29, 30) for fit in (m_eigenvalues, estimate)
-], ids=["sym-eigen-non-square", "ratio-one-eigenvalue", "population-ar-count", "population-k0"]
+], ids=["sym-eigen-non-square", "ratio-one-eigenvalue", "population-ar-count", "population-k0",
+         "ratio-fractional-span", "estimate-fractional-span", "two-step-fractional-r1"]
     + [f"{fit}-k0-{k0}" for k0 in ("0", "n-1", "n") for fit in ("m-eigenvalues", "estimate")])
 def test_estimation_rejects_malformed_input(call, args, error, message):
     with pytest.raises(error, match=message):

@@ -381,6 +381,23 @@ def test_ratio_trace_study_independent_of_worker_count():
             assert serial.median_ratios[n].tobytes() == threaded.median_ratios[n].tobytes()
 
 
+def test_ratio_trace_medians_leave_a_column_with_no_value_nan():
+    # A noiseless one-factor panel has a rank-one pooled matrix, so every
+    # index past 1 is masked in every replication: its median is NaN, and
+    # taking it raises no warning (pytest turns RuntimeWarning into errors).
+    scn = Scenario(n=60, p=8, r=1, deltas=(0.0,), ar_coeffs=(0.7,), k0=1, noise_var=0.0, seed=53)
+    medians = ratio_trace_study(scn, [60], reps=3).median_ratios[60]
+    assert np.isfinite(medians[0]) and np.isnan(medians[1:]).all()
+    # Where no column is all-NaN the medians keep nanmedian's bits.
+    noisy = ratio_trace_study(table1_scenario(100, 20, seed=52), [60, 80], reps=5)
+    for n, trace in noisy.traces.items():
+        assert noisy.median_ratios[n].tobytes() == np.nanmedian(trace, axis=0).tobytes()
+    trace = np.array([[0.2, np.nan, np.nan], [np.nan, 0.5, np.nan], [0.4, 0.7, np.nan]])
+    assert_allclose(simulation._column_medians(trace), [0.3, 0.6, np.nan])
+    assert simulation._column_medians(trace[:, :2]).tobytes() == \
+        np.nanmedian(trace[:, :2], axis=0).tobytes()
+
+
 def test_ratio_trace_study_mixed_strength_signature():
     # Mixed-strength design: the sharpest median drop sits at the strong
     # factor count and the second-sharpest at the full count.
