@@ -40,6 +40,7 @@ def _load_library() -> None:
     from .simulation import (
         GENERATOR_ID,
         Scenario,
+        _check_slope_grid,
         eigen_error_study,
         fit_error_slopes,
         ratio_trace_study,
@@ -377,8 +378,10 @@ def cmd_rates(args) -> int:
     config.setdefault("p", 10)
     scenario = _scenario_from_config(config, seed)
     grid = _given(config, n_grid=_ints, tracked_j=_ints, p_coef=_optional_float)
-    study = eigen_error_study(scenario, grid.get("n_grid", [scenario.n]),
-                              grid.get("tracked_j", [1, 2]), doc["reps"],
+    n_grid = grid.get("n_grid", [scenario.n])
+    if n_grid:  # an empty grid is the study's own error: it has no cell to run
+        _check_slope_grid(n_grid)
+    study = eigen_error_study(scenario, n_grid, grid.get("tracked_j", [1, 2]), doc["reps"],
                               p_coef=grid.get("p_coef"))
     slopes = fit_error_slopes(study)
 

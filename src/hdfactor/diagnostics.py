@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _integer_in
 from .estimation import RATIO_FLOOR, FactorModel, _lag_covs, _unit_scale
 
 __all__ = [
@@ -63,9 +63,7 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
     m, n = x.shape
     if m < 1 or n < 3:
         raise DimensionError(f"need at least one series of length 3, got {m} x {n}")
-    if int(max_lag) != max_lag or not 1 <= max_lag <= n - 2:
-        raise DomainError(f"max_lag must be in [1, n-2] = [1, {n - 2}], got {max_lag}")
-    max_lag = int(max_lag)
+    max_lag = _integer_in("max_lag", max_lag, 1, n - 2, "n-2")
     if series_ids is None:
         series_ids = tuple(str(i + 1) for i in range(m))
     else:
@@ -110,7 +108,7 @@ def residual_projection_acf(model: FactorModel, directions: Sequence[int],
     at any scale; the autocorrelations do not depend on it.
     """
     computed = model.eigenvectors.shape[1]
-    directions = [int(d) for d in directions]
+    directions = [_integer_in("direction", d, 1) for d in directions]
     for d in directions:
         if d <= model.r_hat:
             raise DomainError(

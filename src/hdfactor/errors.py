@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for integer inputs."""
+
+import math
+import numbers
 
 __all__ = ["HDFactorError", "ParseError", "DimensionError", "DomainError"]
 
@@ -17,3 +20,18 @@ class DimensionError(HDFactorError, ValueError):
 
 class DomainError(HDFactorError, ValueError):
     """Inputs violate a mathematical precondition of the operation."""
+
+
+def _integer_in(label: str, value, low: int, high=None, bound: str = "") -> int:
+    """``int(value)``, or a DomainError unless ``value`` is an integer in [low, high].
+
+    3.0 and numpy integers are integers; bools (numpy's too), strings, NaN and
+    inf are not.  ``high`` None is no bound; ``bound`` names it, such as "n-2".
+    """
+    # int and float come first in each tuple: they skip the slower ABC checks.
+    if (isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real))
+            or not (isinstance(value, (int, numbers.Integral)) or math.isfinite(value))
+            or int(value) != value or value < low or high is not None and value > high):
+        span = f"[{low}, inf)" if high is None else f"[{low}, {bound}] = [{low}, {high}]"
+        raise DomainError(f"{label} must be an integer in {span}, got {value!r}")
+    return int(value)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _integer_in
 from .panel import Panel
 
 __all__ = [
@@ -119,22 +119,6 @@ class FactorModel:
         return float(_in_units(np.sqrt((self._unit_residuals**2).mean()), self._exponent))
 
 
-def _integer_in(label: str, value, low: int, high: int, bound: str) -> int:
-    """``int(value)``, or a DomainError unless ``value`` is an integer in [low, high].
-
-    ``bound`` is how the message names ``high``, such as "n-2".
-    """
-    if int(value) != value or not low <= value <= high:
-        raise DomainError(
-            f"{label} must be an integer in [{low}, {bound}] = [{low}, {high}], got {value}"
-        )
-    return int(value)
-
-
-def _validate_lag(n: int, k: int, largest: bool = False) -> int:
-    return _integer_in("k0" if largest else "lag k", k, 1 if largest else 0, n - 2, "n-2")
-
-
 def _lag_covs(values: np.ndarray, lags, window_centering: bool):
     """Lag-k autocovariances of the rows of ``values``, divisor n, for each k in ``lags``."""
     n = values.shape[1]
@@ -161,7 +145,8 @@ def sample_autocov(panel: Panel, k: int, *, window_centering: bool = False) -> n
     DomainError
         If ``k`` is not in ``[0, n-2]`` (insufficient data).
     """
-    return next(_lag_covs(panel.values, [_validate_lag(panel.n, k)], window_centering))
+    k = _integer_in("lag k", k, 0, panel.n - 2, "n-2")
+    return next(_lag_covs(panel.values, [k], window_centering))
 
 
 def _pool(lag_covs) -> np.ndarray:
@@ -188,7 +173,7 @@ def build_m(panel: Panel, k0: int, *, window_centering: bool = False) -> np.ndar
     This is the dense reference that the tests hold fits to; the fits
     themselves pool in the panel's column span (see ``_pooled_eigen``).
     """
-    k0 = _validate_lag(panel.n, k0, largest=True)
+    k0 = _integer_in("k0", k0, 1, panel.n - 2, "n-2")
     return _pool(_lag_covs(panel.values, range(1, k0 + 1), window_centering))
 
 
@@ -279,7 +264,7 @@ def _panel_spectrum(panel: Panel, k0: int, window_centering: bool, vectors: bool
     unlike an SVD.  Without ``vectors`` neither Q nor the eigenvectors are
     formed (``None``), and R comes from the same factorization, bit for bit.
     """
-    k0 = _validate_lag(panel.n, k0, largest=True)
+    k0 = _integer_in("k0", k0, 1, panel.n - 2, "n-2")
     values, e = _unit_scale(panel.values)
     # Centring a constant series can leave roundoff, which would count as a factor.
     # Two columns settle almost every panel before the whole one is compared.
@@ -384,20 +369,21 @@ def estimate(
     eigenvalues, the factor series is their projection of the centered
     panel, and the residuals are the orthogonal remainder.
 
-    ``ratio_span`` defaults to ``default_ratio_span(p, n)``.  A univariate
-    panel (p = 1) skips the ratio search, which needs two eigenvalues: its
-    single direction is the one factor, with an empty ratio trace.
+    ``ratio_span`` defaults to ``default_ratio_span(p, n)``; a given one must
+    lie in [1, p-1], so a univariate panel (p = 1) takes none.  It skips the
+    ratio search: its single direction is the one factor, with R = 0.
     """
     lam, vectors, basis, coords, values, e = _panel_spectrum(panel, k0, window_centering, True)
+    span = (default_ratio_span(panel.p, panel.n) if ratio_span is None
+            else _integer_in("ratio span", ratio_span, 1, panel.p - 1, "p-1"))
     if panel.p == 1:
-        span, r_hat, ratios = 0, 1, np.empty(0)
+        r_hat, ratios = 1, np.empty(0)
     else:
-        span = default_ratio_span(panel.p, panel.n) if ratio_span is None else ratio_span
         r_hat, ratios = ratio_estimate(lam, span)
     centered = values - values.mean(axis=1, keepdims=True)
     return FactorModel(
         r_hat=r_hat, loadings=_in_panel(basis, vectors[:, :r_hat]),
-        eigenvalues=_in_units(lam, 4 * e), ratios=ratios, k0=int(k0), ratio_span=int(span),
+        eigenvalues=_in_units(lam, 4 * e), ratios=ratios, k0=int(k0), ratio_span=span,
         _centered=centered, _unit_eigenvalues=lam, _exponent=e, _basis=basis, _vectors=vectors,
         _coords=centered if basis is None else coords - coords.mean(axis=1, keepdims=True),
     )
@@ -472,8 +458,7 @@ def population_m(loadings: np.ndarray, ar_coeffs: Sequence[float], k0: int):
         )
     if not np.all(np.abs(theta) < 1):
         raise DomainError("AR coefficients must lie strictly inside (-1, 1)")
-    if int(k0) != k0 or k0 < 1:
-        raise DomainError(f"k0 must be a positive integer, got {k0}")
+    k0 = _integer_in("k0", k0, 1)
     var0 = 1.0 / (1.0 - theta**2)
-    m = _pool((loadings * (theta**k * var0)) @ loadings.T for k in range(1, int(k0) + 1))
+    m = _pool((loadings * (theta**k * var0)) @ loadings.T for k in range(1, k0 + 1))
     return m, np.linalg.eigvalsh(m)[::-1]

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError
+from .errors import DimensionError, DomainError, ParseError, _integer_in
 
 __all__ = [
     "Panel",
@@ -96,9 +96,7 @@ class SeasonalSpec:
     period: int
 
     def __post_init__(self):
-        if int(self.period) != self.period or self.period < 1:
-            raise DomainError(f"seasonal period must be a positive integer, got {self.period}")
-        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "period", _integer_in("seasonal period", self.period, 1))
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:

@@ -38,9 +38,8 @@ from typing import Callable, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import _openblas
-from .errors import DimensionError, DomainError, HDFactorError
+from .errors import DimensionError, DomainError, HDFactorError, _integer_in
 from .estimation import (
-    _validate_lag,
     default_ratio_span,
     m_eigenvalues,
     population_m,
@@ -69,6 +68,7 @@ __all__ = [
 FACTOR_BURN_IN = 200       # VAR(1) warm-up discarded so factors start stationary
 GENERATOR_ID = "numpy.random.PCG64"
 LOADING_SCHEMES = ("uniform-scaled", "all-ones")
+MIN_N = 4                  # shortest series a scenario draws
 TABLE1_AR_COEFFS = (0.6, -0.5, 0.3)
 
 
@@ -82,7 +82,8 @@ class Scenario:
     like p**(1-delta).  Strength 0 is a strong factor loading on most
     series; larger deltas thin the loading out.
     The factor process is a diagonal VAR(1) with unit-variance Gaussian
-    innovations, and the noise is i.i.d. Gaussian.
+    innovations, and the noise is i.i.d. Gaussian.  The integer fields (n,
+    p, r, k0, seed) refuse 2.5, True or "3" and are stored as ``int``.
     """
 
     n: int
@@ -96,12 +97,13 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer_in("n", self.n, MIN_N))
+        object.__setattr__(self, "p", _integer_in("p", self.p, 1))
+        object.__setattr__(self, "r", _integer_in("r", self.r, 1, self.p, "p"))
+        object.__setattr__(self, "k0", _integer_in("k0", self.k0, 1, self.n - 2, "n-2"))
+        object.__setattr__(self, "seed", _integer_in("seed", self.seed, 0))
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "ar_coeffs", tuple(float(a) for a in self.ar_coeffs))
-        if self.n < 4:
-            raise DomainError(f"need n >= 4, got {self.n}")
-        if not 1 <= self.r <= self.p:
-            raise DomainError(f"need p >= r >= 1, got p={self.p}, r={self.r}")
         if len(self.deltas) != self.r or len(self.ar_coeffs) != self.r:
             raise DimensionError("deltas and ar_coeffs must have one entry per factor")
         if any(not 0 <= d <= 1 for d in self.deltas):
@@ -110,13 +112,10 @@ class Scenario:
             raise DomainError("AR coefficients must lie strictly inside (-1, 1)")
         if not 0 <= self.noise_var < math.inf:
             raise DomainError("noise variance must be finite and non-negative")
-        _validate_lag(self.n, self.k0, largest=True)
         if self.loading_scheme not in LOADING_SCHEMES:
             raise DomainError(f"loading scheme must be one of {LOADING_SCHEMES}")
         if self.loading_scheme == "all-ones" and self.r != 1:
             raise DomainError("all-ones loadings are rank one; they require r = 1")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,12 @@ class SlopeFit:
 
 
 def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit seed from integer coordinates.
+    """Deterministic 64-bit seed from non-negative integer coordinates.
 
     Built on the hash tree of ``numpy.random.SeedSequence`` so that
     replication streams are independent of grid order and worker count.
     """
-    seq = np.random.SeedSequence(tuple(int(x) for x in parts))
+    seq = np.random.SeedSequence(tuple(_integer_in("seed coordinate", x, 0) for x in parts))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -288,8 +287,7 @@ def _replicate(cells: list, reps: int, workers: Optional[int], measure: Callable
     """
     if not cells:
         raise DomainError("need at least one grid cell")
-    if reps < 1:
-        raise DomainError("need at least one replication")
+    reps = _integer_in("reps", reps, 1)
 
     def run(job):
         (scenario, coords), rep = job
@@ -455,7 +453,7 @@ def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float
     that n twice.  Returns ``(n_grid, p_of_n, cells)``, the cells in
     ``_replicate``'s form.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_integer_in("n", n, MIN_N) for n in n_grid)
     repeated = [n for n, count in Counter(n_grid).items() if count > 1]
     if repeated:
         raise DomainError(f"n_grid repeats n = {repeated[0]}")
@@ -463,14 +461,10 @@ def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float
     return n_grid, p_of_n, [(replace(scenario, n=n, p=p), (n, p)) for n, p in p_of_n.items()]
 
 
-def _count_result(scenario: Scenario, reps: int, r_hats: Sequence[int]) -> McResult:
+def _count_result(scenario: Scenario, r_hats: Sequence[int]) -> McResult:
     counts = Counter(int(r_hat) for r_hat in r_hats)
-    return McResult(
-        scenario=scenario,
-        reps=reps,
-        r_hat_counts=dict(sorted(counts.items())),
-        freq_correct=counts[scenario.r] / reps,
-    )
+    return McResult(scenario=scenario, reps=len(r_hats), r_hat_counts=dict(sorted(counts.items())),
+                    freq_correct=counts[scenario.r] / len(r_hats))
 
 
 @_openblas.single_thread_blas
@@ -497,14 +491,15 @@ def run_table1(
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    grid = [(float(delta), int(n), _scaled_p(rule, int(n)), float(rule))
+    r, n_grid = _integer_in("r", r, 1), [_integer_in("n", n, MIN_N) for n in n_grid]
+    grid = [(float(delta), n, _scaled_p(rule, n), float(rule))
             for delta, n, rule in itertools.product(deltas, n_grid, p_rules)]
     _check_ratio_dims(p for _, _, p, _ in grid)
     cells = [(Scenario(n=n, p=p, r=r, deltas=(delta,) * r, ar_coeffs=ar_coeffs,
                        noise_var=noise_var, k0=k0, seed=base_seed), (_delta_code(delta), n, p))
              for delta, n, p, _ in grid]
     r_hats_by_cell = _replicate(cells, reps, workers, _ratio_count)
-    return [(*coords, _count_result(cell, reps, r_hats))
+    return [(*coords, _count_result(cell, r_hats))
             for coords, (cell, _), r_hats in zip(grid, cells, r_hats_by_cell)]
 
 
@@ -530,11 +525,9 @@ def eigen_error_study(
         raise DomainError(
             "eigen-error study needs the all-ones loading scheme so the population spectrum is exact"
         )
-    tracked_j = tuple(int(j) for j in tracked_j)
+    tracked_j = tuple(_integer_in("tracked index", j, 1) for j in tracked_j)
     if not tracked_j:
         raise DomainError("need at least one tracked eigenvalue")
-    if min(tracked_j) < 1:
-        raise DomainError(f"tracked index {min(tracked_j)} is below 1")
     tracked = [j - 1 for j in tracked_j]
     n_grid, p_of_n, cells = _size_grid(scenario, n_grid, p_coef)
     too_small = [p for p in p_of_n.values() if p < max(tracked_j)]
@@ -554,14 +547,19 @@ def eigen_error_study(
     )
 
 
+def _check_slope_grid(n_grid: Sequence[int]) -> None:
+    """Reject a grid of fewer than three sample sizes: too few to fit a slope."""
+    if len(n_grid) < 3:
+        raise DomainError("need at least three grid points to fit a slope")
+
+
 def fit_error_slopes(study: EigenErrorStudy, confidence_z: float = 1.96) -> list:
     """OLS slope of log median absolute error against log n, per tracked j.
 
     Medians tame the heavy tails of eigenvalue errors; the interval is the
     usual OLS slope interval at the given normal quantile.
     """
-    if len(study.n_grid) < 3:
-        raise DomainError("need at least three grid points to fit a slope")
+    _check_slope_grid(study.n_grid)
     log_n = np.log(np.asarray(study.n_grid, dtype=float))
     fits = []
     for col, j in enumerate(study.tracked_j):
@@ -628,16 +626,13 @@ def two_step_study(
     """
     _check_ratio_dims([scenario.p])
     results, = _replicate([(scenario, (scenario.n, scenario.p))], reps, workers, _two_step_counts)
+    reps = len(results)
     one_counts = Counter(r1 for r1, _, _ in results)
     pair_counts = Counter((r1, r2) for r1, r2, _ in results)
     hits_two = sum(r1 + r2 == scenario.r for r1, r2, _ in results)
     hits_sharp = sum((r1 + r2 if sharp else r1) == scenario.r for r1, r2, sharp in results)
     return TwoStepStudy(
-        scenario=scenario,
-        reps=reps,
-        one_step_counts=dict(sorted(one_counts.items())),
-        pair_counts=dict(sorted(pair_counts.items())),
-        freq_one=one_counts[scenario.r] / reps,
-        freq_two=hits_two / reps,
-        freq_two_sharp=hits_sharp / reps,
+        scenario=scenario, reps=reps, one_step_counts=dict(sorted(one_counts.items())),
+        pair_counts=dict(sorted(pair_counts.items())), freq_one=one_counts[scenario.r] / reps,
+        freq_two=hits_two / reps, freq_two_sharp=hits_sharp / reps,
     )

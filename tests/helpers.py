@@ -13,6 +13,16 @@ from hdfactor import (
 )
 
 
+# Values no integer input of the library accepts, by test id.
+NON_INTEGERS = {"fraction": 2.5, "bool": True, "numpy-bool": np.True_, "nan": float("nan"),
+                "inf": float("inf"), "string": "3"}
+
+
+def integer_message(label, span, value):
+    """The library's message for an integer input ``value`` outside ``span``."""
+    return f"{label} must be an integer in {span}, got {value!r}"
+
+
 def s1_scenario(n, p=None, seed=0):
     """Single strong factor: all-ones loadings, AR(1) coefficient 0.7."""
     return Scenario(
@@ -96,9 +106,10 @@ def assert_second_pass_matches_dense_reference(panel, k0, wc, r1):
 
 
 # Study inputs that must stop with exit 1 before any replication: a p rule
-# or p_coef whose coef * n is not finite, a negative seed, and p = 1 in a
-# study that counts factors by the ratio rule.  Each is (command, scenario
-# JSON, extra flags, message).
+# or p_coef whose coef * n is not finite, a negative seed, p = 1 in a study
+# that counts factors by the ratio rule, an integer out of its range, and a
+# rates grid too short to fit a slope.  Each is (command, scenario JSON,
+# extra flags, message).
 STUDY_INPUT_FAULTS = {
     "table1-nan-rule": (
         "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [NaN]}', (),
@@ -114,13 +125,13 @@ STUDY_INPUT_FAULTS = {
         "p = nan * 60 is not a finite dimension"),
     "negative-seed-in-file": (
         "simulate", '{"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "seed": -3}', (),
-        "seed must be non-negative, got -3"),
+        "seed must be an integer in [0, inf), got -3"),
     "negative-seed-flag": (
         "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [0.2]}', ("--seed", -1),
-        "seed must be non-negative, got -1"),
+        "seed must be an integer in [0, inf), got -1"),
     "rates-negative-seed-flag": (
         "rates", '{"n": 60, "p": 10, "n_grid": [60, 80, 100]}', ("--seed", -1),
-        "seed must be non-negative, got -1"),
+        "seed must be an integer in [0, inf), got -1"),
     "ratio-trace-p-of-1": (
         "simulate", '{"study": "ratio-trace", "n": 60, "p": 1, "r": 1}', (),
         "ratio estimation needs p >= 2, got p = 1"),
@@ -130,4 +141,13 @@ STUDY_INPUT_FAULTS = {
     "table1-p-of-1": (
         "simulate", '{"study": "table1", "n_grid": [60], "p_rules": [0.01], "r": 1}', (),
         "ratio estimation needs p >= 2, got p = 1"),
+    "table1-n-of-3": (
+        "simulate", '{"study": "table1", "n_grid": [3, 60], "p_rules": [0.2]}', (),
+        "n must be an integer in [4, inf), got 3"),
+    "ratio-trace-r-above-p": (
+        "simulate", '{"study": "ratio-trace", "n": 60, "p": 4, "r": 5}', (),
+        "r must be an integer in [1, p] = [1, 4], got 5"),
+    "rates-two-sizes": (
+        "rates", '{"n": 60, "p": 10, "n_grid": [400, 800]}', (),
+        "need at least three grid points to fit a slope"),
 }

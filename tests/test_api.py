@@ -1,5 +1,6 @@
 """The package's public surface, and the attributes the benchmark's tracer wraps."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -102,3 +103,31 @@ def test_version_help_and_usage_errors_start_without_numpy(capsys, monkeypatch):
 
     assert fresh["star"] == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(fresh["dir"])
+
+
+def _int_self_comparisons(tree):
+    """Line numbers where ``int(x)`` is compared with ``x`` itself, in either order."""
+    def int_of(node):
+        is_int = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int" and len(node.args) == 1)
+        return ast.dump(node.args[0]) if is_int else None
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [ast.dump(operand) for operand in [node.left, *node.comparators]]
+            for operand in [node.left, *node.comparators]:
+                if int_of(operand) in operands:
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_only_errors_py_states_the_integer_rule():
+    # errors._integer_in is the one integer check: a module with its own
+    # ``int(x) != x`` would bring back a second rule and its own message.
+    package = Path(hdfactor.__file__).parent
+    found = {path.name: _int_self_comparisons(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py")) if path.name != "errors.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _int_self_comparisons(ast.parse((package / "errors.py").read_text()))
+

@@ -295,6 +295,19 @@ def test_diagnose_output_bytes_are_pinned(tmp_path, name):
             for f in out.iterdir()} == digests
 
 
+def test_estimate_rejects_a_ratio_span_on_one_series_with_exit_1(tmp_path):
+    # A span lies in [1, p-1], which is empty for p = 1, as for any panel.
+    path = tmp_path / "one.csv"
+    save_csv(Panel(np.random.default_rng(3).standard_normal((1, 50))), path)
+    out = tmp_path / "out"
+    proc = run_cli("estimate", path, "--max-ratio-index", 99, "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == ("hdfactor: error: ratio span must be an integer in [1, p-1] = [1, 0], "
+                           "got 99\n")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_diagnose_rejects_factor_direction_with_exit_1(tmp_path):
     path, panel = write_panel_csv(tmp_path, n=300, p=10, seed=11)
     out = tmp_path / "out"
@@ -551,8 +564,7 @@ def test_zero_replications_exit_1(tmp_path):
         out = tmp_path / f"{command}-{cfg.stem}"
         proc = run_cli(command, "--scenario", cfg, "--reps", 0, "--out", out)
         assert proc.returncode == 1, cfg
-        assert "need at least one replication" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "hdfactor: error: reps must be an integer in [1, inf), got 0\n"
         assert not out.exists()
 
 
@@ -670,7 +682,8 @@ def test_rates_smoke(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("n = 100\np = 10\nn_grid = 60, 80, 100\ntracked_j = 0, 1\n", "tracked index 0 is below 1"),
+    ("n = 100\np = 10\nn_grid = 60, 80, 100\ntracked_j = 0, 1\n",
+     "tracked index must be an integer in [1, inf), got 0"),
     ('{"n": 100, "p": 10, "n_grid": [60, 80, 100], "tracked_j": []}',
      "need at least one tracked eigenvalue"),
 ], ids=["zero", "empty"])
@@ -682,6 +695,23 @@ def test_rates_rejects_a_tracked_index_below_1_with_exit_1(tmp_path, text, messa
     assert proc.returncode == 1
     assert proc.stderr == f"hdfactor: error: {message}\n"
     assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_rates_refuses_fewer_than_three_sizes_before_any_replication(tmp_path, monkeypatch,
+                                                                    capsys):
+    from hdfactor import simulation
+
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    cfg = tmp_path / "rates.json"
+    cfg.write_text('{"n": 60, "p": 10, "n_grid": [400, 800]}')
+    out = tmp_path / "rates"
+    assert cli.main(["rates", "--scenario", str(cfg), "--reps", "40", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "hdfactor: error: need at least three grid points to fit a slope\n")
     assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from hdfactor import (
     two_step_estimate,
     variance_explained,
 )
-from helpers import random_orthogonal, table1_scenario
+from helpers import NON_INTEGERS, integer_message, random_orthogonal, table1_scenario
 
 
 def ar1_series(n, theta, seed):
@@ -239,3 +239,15 @@ _SERIES = np.random.default_rng(22).standard_normal((2, 30))
 def test_diagnostics_reject_mismatched_shapes(call, args, kwargs, message):
     with pytest.raises(DimensionError, match=message):
         call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("value", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+@pytest.mark.parametrize("call, label, span", [
+    (lambda v: cross_acf(_SERIES, v), "max_lag", "[1, n-2] = [1, 28]"),
+    (lambda v: residual_projection_acf(estimate(Panel(_SERIES), 1), [v], 5), "direction",
+     "[1, inf)"),
+], ids=["acf-max-lag", "residual-direction"])
+def test_diagnostics_reject_a_non_integer_input(call, label, span, value):
+    with pytest.raises(DomainError) as raised:
+        call(value)
+    assert str(raised.value) == integer_message(label, span, value)

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -23,8 +24,10 @@ from hdfactor import (
 )
 from hdfactor import estimation
 from helpers import (
+    NON_INTEGERS,
     assert_second_pass_matches_dense_reference,
     dense_reference,
+    integer_message,
     naive_autocov,
     random_orthogonal,
     s1_scenario,
@@ -632,6 +635,23 @@ def test_concurrent_eigensolves_equal_their_serial_results():
 
 # ---------------------------------------------------------------- input checks
 
+_WIDE8 = ar1_panel(100, 8, seed=58)
+_N30 = Panel(np.arange(150.0).reshape(5, 30) % 7)
+# Each integer input, as (id, call on a value, label, range in the message).
+_INTEGER_INPUTS = [
+    ("population-k0", lambda v: population_m(np.ones((4, 1)), [0.5], v), "k0", "[1, inf)"),
+    ("build-m-k0", lambda v: build_m(_N30, v), "k0", "[1, n-2] = [1, 28]"),
+    ("m-eigenvalues-k0", lambda v: m_eigenvalues(_N30, v), "k0", "[1, n-2] = [1, 28]"),
+    ("estimate-k0", lambda v: estimate(_N30, v), "k0", "[1, n-2] = [1, 28]"),
+    ("autocov-lag", lambda v: sample_autocov(_N30, v), "lag k", "[0, n-2] = [0, 28]"),
+    ("ratio-span", lambda v: ratio_estimate([8.0, 4.0, 2.0, 1.0, 0.5, 0.25], v), "ratio span",
+     "[1, p-1] = [1, 5]"),
+    ("estimate-span", lambda v: estimate(_WIDE8, 1, v), "ratio span", "[1, p-1] = [1, 7]"),
+    ("two-step-r1", lambda v: two_step_estimate(_WIDE8, 1, None, v), "first-pass factor count",
+     "[1, min(p-1, n)] = [1, 7]"),
+]
+
+
 @pytest.mark.parametrize("call, args, error, message", [
     (sym_eigen, (np.ones((2, 3)),), DimensionError,
      r"^expected a square matrix, got shape \(2, 3\)$"),
@@ -640,7 +660,7 @@ def test_concurrent_eigensolves_equal_their_serial_results():
     (population_m, (np.ones((4, 2)), [0.5], 1), DimensionError,
      "^need one AR coefficient per factor, got 1 for 2 factors$"),
     (population_m, (np.ones((4, 1)), [0.5], 0), DomainError,
-     "^k0 must be a positive integer, got 0$"),
+     r"^k0 must be an integer in \[1, inf\), got 0$"),
     # A fractional span or first-pass count is refused, not truncated.
     (ratio_estimate, ([8.0, 4.0, 2.0, 1.0, 0.5, 0.25], 2.5), DomainError,
      r"^ratio span must be an integer in \[1, p-1\] = \[1, 5\], got 2.5$"),
@@ -649,14 +669,22 @@ def test_concurrent_eigensolves_equal_their_serial_results():
     (two_step_estimate, (ar1_panel(100, 8, seed=58), 1, None, 1.9), DomainError,
      r"^first-pass factor count must be an integer in \[1, min\(p-1, n\)\] = \[1, 7\], "
      r"got 1.9$"),
+    # A univariate panel has no span to search, so a given one is refused.
+    (estimate, (Panel(np.random.default_rng(5).standard_normal((1, 50))), 1, 99), DomainError,
+     r"^ratio span must be an integer in \[1, p-1\] = \[1, 0\], got 99$"),
 ] + [
     # The spectrum-only path checks k0 as a fit does; the panel has n = 30.
-    (fit, (Panel(np.arange(150.0).reshape(5, 30) % 7), k0), DomainError,
+    (fit, (_N30, k0), DomainError,
      rf"^k0 must be an integer in \[1, n-2\] = \[1, 28\], got {k0}$")
     for k0 in (0, 29, 30) for fit in (m_eigenvalues, estimate)
+] + [
+    (call, (value,), DomainError, f"^{re.escape(integer_message(label, span, value))}$")
+    for _, call, label, span in _INTEGER_INPUTS for value in NON_INTEGERS.values()
 ], ids=["sym-eigen-non-square", "ratio-one-eigenvalue", "population-ar-count", "population-k0",
-         "ratio-fractional-span", "estimate-fractional-span", "two-step-fractional-r1"]
-    + [f"{fit}-k0-{k0}" for k0 in ("0", "n-1", "n") for fit in ("m-eigenvalues", "estimate")])
+         "ratio-fractional-span", "estimate-fractional-span", "two-step-fractional-r1",
+         "univariate-span"]
+    + [f"{fit}-k0-{k0}" for k0 in ("0", "n-1", "n") for fit in ("m-eigenvalues", "estimate")]
+    + [f"{name}-{kind}" for name, _, _, _ in _INTEGER_INPUTS for kind in NON_INTEGERS])
 def test_estimation_rejects_malformed_input(call, args, error, message):
     with pytest.raises(error, match=message):
         call(*args)

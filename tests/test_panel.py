@@ -17,6 +17,7 @@ from hdfactor import (
     save_csv,
     seasonal_demean,
 )
+from helpers import NON_INTEGERS, integer_message
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -178,6 +179,13 @@ def test_seasonal_demean_period_exceeding_n():
 def test_seasonal_spec_validation():
     with pytest.raises(DomainError):
         SeasonalSpec(0)
+
+
+@pytest.mark.parametrize("value", [0, *NON_INTEGERS.values()], ids=["zero", *NON_INTEGERS])
+def test_seasonal_spec_rejects_a_period_that_is_not_a_positive_integer(value):
+    with pytest.raises(DomainError) as raised:
+        SeasonalSpec(value)
+    assert str(raised.value) == integer_message("seasonal period", "[1, inf)", value)
 
 
 def _per_cell(cells):

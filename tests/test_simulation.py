@@ -28,7 +28,7 @@ from hdfactor import (
     two_step_study,
 )
 from hdfactor import _openblas, simulation
-from helpers import s1_scenario, s3_scenario, table1_scenario
+from helpers import NON_INTEGERS, integer_message, s1_scenario, s3_scenario, table1_scenario
 
 
 # ---------------------------------------------------------------- generation
@@ -253,6 +253,30 @@ def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
         study()
 
 
+_SCENARIO_ARGS = dict(n=60, p=10, r=1, deltas=(0.0,), ar_coeffs=(0.5,), k0=1, seed=1)
+# Each integer input of a scenario, a study or a seed, as (id, call on a value, label, range).
+_STUDY_INTEGERS = [
+    *[(f"scenario-{field}", lambda v, field=field: Scenario(**{**_SCENARIO_ARGS, field: v}),
+       field, span)
+      for field, span in [("n", "[4, inf)"), ("p", "[1, inf)"), ("r", "[1, p] = [1, 10]"),
+                          ("k0", "[1, n-2] = [1, 58]"), ("seed", "[0, inf)")]],
+    ("table1-n", lambda v: run_table1([0.0], [60, v], [0.2], reps=3, base_seed=1), "n",
+     "[4, inf)"),
+    ("table1-r", lambda v: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, r=v), "r",
+     "[1, inf)"),
+    ("table1-reps", lambda v: run_table1([0.0], [60], [0.2], reps=v, base_seed=1), "reps",
+     "[1, inf)"),
+    ("ratio-trace-n", lambda v: ratio_trace_study(table1_scenario(60, 10, seed=1), [v], reps=3),
+     "n", "[4, inf)"),
+    ("eigen-error-tracked-j",
+     lambda v: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 100], [1, v], reps=3),
+     "tracked index", "[1, inf)"),
+    ("two-step-reps", lambda v: two_step_study(s1_scenario(60, 10, seed=1), reps=v), "reps",
+     "[1, inf)"),
+    ("derive-seed", lambda v: derive_seed(1, v), "seed coordinate", "[0, inf)"),
+]
+
+
 @pytest.mark.parametrize("study, message", [
     (lambda: run_table1([0.0], [60], [float("nan")], reps=3, base_seed=1),
      "p = nan * 60 is not a finite dimension"),
@@ -264,9 +288,9 @@ def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
                                p_coef=float("-inf")),
      "p = -inf * 60 is not a finite dimension"),
     (lambda: run_table1([0.0], [60], [0.2], reps=3, base_seed=-1),
-     "seed must be non-negative, got -1"),
+     "seed must be an integer in [0, inf), got -1"),
     (lambda: ratio_trace_study(s1_scenario(60, 10, seed=-3), [60], reps=3),
-     "seed must be non-negative, got -3"),
+     "seed must be an integer in [0, inf), got -3"),
     (lambda: run_table1([0.0], [60], [0.01], reps=3, base_seed=1, r=1),
      "ratio estimation needs p >= 2, got p = 1"),
     (lambda: ratio_trace_study(s1_scenario(60, 1, seed=1), [60], reps=3),
@@ -277,10 +301,14 @@ def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
      "k0 must be an integer in [1, n-2] = [1, 58], got 1.5"),
     (lambda: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, k0=2.5),
      "k0 must be an integer in [1, n-2] = [1, 58], got 2.5"),
+] + [
+    (lambda call=call, value=value: call(value), integer_message(label, span, value))
+    for _, call, label, span in _STUDY_INTEGERS for value in NON_INTEGERS.values()
 ], ids=["table1-nan-rule", "table1-overflowing-rule", "ratio-trace-nan-p-coef",
         "eigen-error-infinite-p-coef", "table1-negative-seed", "negative-seed",
         "table1-p-of-1", "ratio-trace-p-of-1", "two-step-p-of-1", "scenario-fractional-k0",
-        "table1-fractional-k0"])
+        "table1-fractional-k0"]
+    + [f"{name}-{kind}" for name, _, _, _ in _STUDY_INTEGERS for kind in NON_INTEGERS])
 def test_a_bad_study_input_raises_before_any_replication(monkeypatch, study, message):
     def no_replications(*args):
         raise AssertionError("a replication ran")
@@ -326,8 +354,8 @@ def test_eigen_error_study_independent_of_worker_count():
 
 @pytest.mark.parametrize("tracked_j, message", [
     ([1, 6], "tracked index 6 exceeds dimension 5"),
-    ([0, 1], "tracked index 0 is below 1"),
-    ([-1], "tracked index -1 is below 1"),
+    ([0, 1], "tracked index must be an integer in [1, inf), got 0"),
+    ([-1], "tracked index must be an integer in [1, inf), got -1"),
     ([], "need at least one tracked eigenvalue"),
 ], ids=["above-p", "zero", "negative", "empty"])
 def test_eigen_error_study_rejects_a_tracked_index_outside_1_to_p_before_any_replication(
@@ -336,7 +364,7 @@ def test_eigen_error_study_rejects_a_tracked_index_outside_1_to_p_before_any_rep
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(simulation, "generate", no_replications)
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         eigen_error_study(s1_scenario(100, 10, seed=45), [40, 10], tracked_j, reps=3, p_coef=0.5,
                           workers=2)
 
