@@ -23,20 +23,30 @@ from . import __version__
 from .errors import DimensionError, DomainError, HDFactorError, ParseError
 
 
-def _load_library() -> None:
-    """Bind numpy and the library names the commands use, keeping any already bound.
+def _fit_names() -> dict:
+    """numpy and the library names every command uses: fits, panel files and outputs.
 
-    ``main`` calls this after a successful parse, so ``--version``, ``--help``
-    and usage errors never import numpy.  A name already bound, such as a
-    test's monkeypatch or a tracing wrapper on ``estimate``, is kept.
+    The CLI reads each panel through the cache of parsed tables, under the
+    name ``load_csv``.
     """
     import numpy as np
 
     from . import _openblas
-    from .diagnostics import cross_acf, projection_residual_ratio, residual_projection_acf, variance_explained
     from .estimation import estimate, two_step_estimate
-    from .panel import SeasonalSpec, load_csv, seasonal_demean, write_matrix_csv
+    from .panel import SeasonalSpec, seasonal_demean, write_matrix_csv
+    from .panel import load_csv_cached as load_csv
     from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
+
+    return locals()
+
+
+def _diagnostics_names() -> dict:
+    from .diagnostics import cross_acf, projection_residual_ratio, residual_projection_acf, variance_explained
+
+    return locals()
+
+
+def _simulation_names() -> dict:
     from .simulation import (
         GENERATOR_ID,
         Scenario,
@@ -48,8 +58,21 @@ def _load_library() -> None:
         two_step_study,
     )
 
-    for name, value in list(locals().items()):
-        globals().setdefault(name, value)
+    return locals()
+
+
+def _load_library(*groups) -> None:
+    """Bind ``_fit_names`` and the names of each of ``groups``, keeping any already bound.
+
+    ``main`` calls this after a successful parse with the groups of the
+    command being run, so ``--version``, ``--help`` and usage errors never
+    import numpy, and a fit never imports the simulation or diagnostics
+    modules.  A name already bound, such as a test's monkeypatch or a
+    tracing wrapper on ``estimate``, is kept.
+    """
+    for names in (_fit_names, *groups):
+        for name, value in names().items():
+            globals().setdefault(name, value)
 
 
 def __getattr__(name):
@@ -57,7 +80,7 @@ def __getattr__(name):
     # binds them all; dunder lookups by the import system never do.
     if name.startswith("__"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_library()
+    _load_library(_diagnostics_names, _simulation_names)
     try:
         return globals()[name]
     except KeyError:
@@ -105,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_panel_flags(est)
     est.add_argument("--dump-loadings", action="store_true", help="also write loadings.csv")
     est.add_argument("--dump-factors", action="store_true", help="also write factors.csv")
-    est.set_defaults(func=cmd_fit, two_step=False)
+    est.set_defaults(func=cmd_fit, two_step=False, library=())
 
     two = commands.add_parser("two-step", help="fit the two-step model for mixed-strength factors")
     _add_panel_flags(two)
     two.add_argument("--r1", type=int, default=None, help="override the first-pass factor count")
     two.add_argument("--dump-loadings", action="store_true")
     two.add_argument("--dump-factors", action="store_true")
-    two.set_defaults(func=cmd_fit, two_step=True)
+    two.set_defaults(func=cmd_fit, two_step=True, library=())
 
     diag = commands.add_parser("diagnose", help="fit, then run whiteness and variance diagnostics")
     _add_panel_flags(diag)
@@ -122,21 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated eigen indices (> r_hat) for residual projections")
     diag.add_argument("--project", default=None, metavar="FILE",
                       help="one-series CSV to project onto the factor-series span")
-    diag.set_defaults(func=cmd_diagnose)
+    diag.set_defaults(func=cmd_diagnose, library=(_diagnostics_names,))
 
     sim = commands.add_parser("simulate", help="run a Monte Carlo study from a scenario file")
     sim.add_argument("--scenario", required=True, help="scenario file (JSON or key = value lines)")
     sim.add_argument("--reps", type=int, default=None, help="override replication count")
     sim.add_argument("--seed", type=int, default=None, help="override the base seed")
     sim.add_argument("--out", default=".")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, library=(_simulation_names,))
 
     rates = commands.add_parser("rates", help="empirical convergence-rate study with slope fits")
     rates.add_argument("--scenario", required=True)
     rates.add_argument("--reps", type=int, default=None)
     rates.add_argument("--seed", type=int, default=None)
     rates.add_argument("--out", default=".")
-    rates.set_defaults(func=cmd_rates)
+    rates.set_defaults(func=cmd_rates, library=(_simulation_names,))
     return parser
 
 
@@ -373,12 +396,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_rates(args) -> int:
     config, doc, seed = _study_file(args, "rates")
+    _require(config, "n_grid")
     config.setdefault("loading_scheme", "all-ones")
     config.setdefault("r", 1)
     config.setdefault("p", 10)
     scenario = _scenario_from_config(config, seed)
     grid = _given(config, n_grid=_ints, tracked_j=_ints, p_coef=_optional_float)
-    n_grid = grid.get("n_grid", [scenario.n])
+    n_grid = grid["n_grid"]
     if n_grid:  # an empty grid is the study's own error: it has no cell to run
         _check_slope_grid(n_grid)
     study = eigen_error_study(scenario, n_grid, grid.get("tracked_j", [1, 2]), doc["reps"],
@@ -405,7 +429,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    _load_library()
+    _load_library(*args.library)
     try:
         with _openblas.single_thread_blas:
             return args.func(args)

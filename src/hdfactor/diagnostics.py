@@ -95,8 +95,8 @@ def residual_projection_acf(model: FactorModel, directions: Sequence[int],
                             max_lag: int) -> AcfReport:
     """Cross-ACF of the fitted panel projected on post-factor eigen-directions.
 
-    ``directions`` are 1-based eigenvalue indices of the fitted spectrum;
-    each must exceed the estimated factor count (indices at or below it
+    ``directions`` are distinct 1-based eigenvalue indices of the fitted
+    spectrum; each must exceed the estimated factor count (indices at or below it
     are factors, not residual directions) and be at most the number of
     eigenvectors the fit holds, min(p, n).  If the fit removed all serial
     correlation, these projected series behave like white noise.
@@ -109,7 +109,9 @@ def residual_projection_acf(model: FactorModel, directions: Sequence[int],
     """
     computed = model.eigenvectors.shape[1]
     directions = [_integer_in("direction", d, 1) for d in directions]
-    for d in directions:
+    for i, d in enumerate(directions):
+        if d in directions[:i]:
+            raise DomainError(f"directions repeat direction {d}")
         if d <= model.r_hat:
             raise DomainError(
                 f"direction {d} is a factor direction (r_hat = {model.r_hat}), not a residual one"

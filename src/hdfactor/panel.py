@@ -3,16 +3,22 @@
 A panel is a p-variate time series of length n held series-major: row i is
 series i, column t is the cross-section observed at time t.  Every
 downstream routine consumes cross-sections, so the series-major layout is
-fixed here and CSV orientation is resolved at load time.
+fixed here and CSV orientation is resolved at load time.  The command
+line reads CSVs through ``load_csv_cached``, which keeps each parsed table
+in a per-user cache so that a file is parsed once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,16 +122,22 @@ def read_text(path) -> str:
     """A UTF-8 text file, less any byte-order mark, with its line ends as written.
 
     A file that is not UTF-8 is a ParseError naming its first bad byte.
-    Text readers decode in chunks and skip a byte-order mark, so the offset
-    in their ``UnicodeDecodeError`` is not a file offset; on that failure
-    the file is read again as bytes to find one.
+    """
+    with open(path, "rb") as handle:
+        return _decode(handle.read(), path)
+
+
+def _decode(raw: bytes, path) -> str:
+    """``read_text`` of a file whose bytes are ``raw``.
+
+    The ``utf-8-sig`` codec skips a byte-order mark, so the offset in its
+    ``UnicodeDecodeError`` is not a file offset; on that failure the bytes
+    are decoded again as plain UTF-8 to find one.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            return handle.read()
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            raw = handle.read()
+        pass
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -271,13 +283,130 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
         How file rows map onto the panel.  The default matches the common
         convention of one time point per CSV row.
     """
+    return _load(path, orientation, cached=False)
+
+
+def load_csv_cached(path, orientation: str = "rows-are-time") -> Panel:
+    """``load_csv(path, orientation)``, with the parsed table kept in a per-user cache.
+
+    The command line reads its panels through this.  An entry is keyed by
+    the SHA-256 of the file's bytes and of the parser (numpy's and
+    Python's versions and this module's source), so a hit returns the
+    bits a parse would.  Entries live in ``$XDG_CACHE_HOME/hdfactor/panels``,
+    or ``~/.cache/hdfactor/panels``; the newest ``CACHE_ENTRIES`` are kept.
+    A cache that cannot be read or written is a miss, never an error: the
+    file is then parsed as ``load_csv`` parses it, with the same messages.
+    """
+    return _load(path, orientation, cached=True)
+
+
+def _load(path, orientation: str, cached: bool) -> Panel:
+    """The Panel of the CSV file at ``path``; ``cached`` reads the table through the cache."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    text = read_text(path)
-    data, row_labels, col_labels = _bulk_table(text, path) or _row_table(text, path)
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    entry = _cache_entry(raw) if cached else None
+    table = None if entry is None else _read_entry(entry)
+    if table is None:
+        text = _decode(raw, path)
+        table = _bulk_table(text, path) or _row_table(text, path)
+        if entry is not None:
+            _write_entry(entry, table)
+    data, row_labels, col_labels = table
     if orientation == "rows-are-time":
         return Panel(data.T, series_labels=col_labels, time_labels=row_labels)
     return Panel(data, series_labels=row_labels, time_labels=col_labels)
+
+
+CACHE_ENTRIES = 16
+# Faults of the cache's own files and directory: a read fault is a miss, a
+# write fault leaves no entry.
+_CACHE_FAULTS = (OSError, ValueError)
+
+
+def _cache_entry(raw: bytes) -> Optional[Path]:
+    """The cache file of a CSV file whose bytes are ``raw``; None when there is no cache.
+
+    ``$XDG_CACHE_HOME`` counts only when absolute, as the XDG base
+    directory spec says; without it or an absolute home there is no cache.
+    """
+    import hashlib  # only cached reads pay for loading OpenSSL
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):
+        return None
+    try:
+        parser = f"{np.__version__}\0{sys.version}\0".encode() + Path(__file__).read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(hashlib.sha256(parser).digest())
+    key.update(raw)
+    return Path(base, "hdfactor", "panels", f"{key.hexdigest()}.npy")
+
+
+def _check_private(directory: Path) -> None:
+    """OSError unless this user owns ``directory`` and no one else may write to it."""
+    info = directory.stat()
+    if (hasattr(os, "getuid") and info.st_uid != os.getuid()) or info.st_mode & 0o022:
+        raise OSError(f"{directory} is writable by other users")
+
+
+def _read_entry(entry: Path):
+    """The table stored at ``entry``, whose mtime a hit refreshes; None on any fault."""
+    import json  # like hashlib, loaded only by cached reads
+
+    try:
+        _check_private(entry.parent)
+        # np.load's own .npy reader: np.load itself would also open a zip file.
+        with open(entry, "rb") as handle:
+            data = np.lib.format.read_array(handle, allow_pickle=False)
+            labels = np.lib.format.read_array(handle, allow_pickle=False)
+        if not (data.dtype == np.float64 and data.ndim == 2 and labels.dtype == np.uint8):
+            return None
+        labels = json.loads(labels.tobytes())
+        if not (isinstance(labels, list) and len(labels) == 2):
+            return None
+        row_labels, col_labels = map(_stored_labels, labels, data.shape)
+    except _CACHE_FAULTS:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(entry)
+    return data, row_labels, col_labels
+
+
+def _stored_labels(names, size: int) -> Optional[tuple]:
+    """Labels read back from an entry: None, or ``size`` strings; else ValueError."""
+    if names is None:
+        return None
+    if not (isinstance(names, list) and len(names) == size
+            and all(isinstance(name, str) for name in names)):
+        raise ValueError("stored labels do not fit the stored table")
+    return tuple(names)
+
+
+def _write_entry(entry: Path, table) -> None:
+    """Store ``table`` at ``entry`` through a temp file, then keep the newest entries only."""
+    import json  # like hashlib, loaded only by cached reads
+
+    data, row_labels, col_labels = table
+    labels = np.frombuffer(json.dumps([row_labels, col_labels]).encode(), np.uint8)
+    temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
+    with contextlib.suppress(*_CACHE_FAULTS):
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        _check_private(entry.parent)
+        try:
+            with open(temp, "xb") as handle:
+                np.save(handle, data, allow_pickle=False)
+                np.save(handle, labels, allow_pickle=False)
+            os.replace(temp, entry)
+        finally:
+            temp.unlink(missing_ok=True)
+        entries = sorted(entry.parent.iterdir(), key=lambda path: path.stat().st_mtime_ns)
+        for old in entries[:-CACHE_ENTRIES]:
+            old.unlink(missing_ok=True)
 
 
 def save_csv(panel: Panel, path, orientation: str = "rows-are-time") -> None:

@@ -215,6 +215,31 @@ def test_import_loads_no_third_party_package_but_numpy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "['hdfactor', 'numpy']"
 
 
+_IMPORTS = """
+import json, sys
+before = set(sys.modules)
+from hdfactor import cli
+cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["--version"], ["hashlib", "hdfactor.panel", "numpy"]),
+    (["estimate", "{csv}", "--out", "{out}"], ["hdfactor.diagnostics", "hdfactor.simulation"]),
+], ids=["version", "estimate"])
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, absent):
+    # The panel cache's hashlib, and the modules of commands not run, stay unloaded.
+    path, _ = write_panel_csv(tmp_path, n=60, p=8)
+    argv = [arg.format(csv=path, out=tmp_path / "out") for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS, *argv], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "hdfactor.cli" in loaded
+    assert not set(absent) & set(loaded), loaded
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     root = Path(hdfactor.__file__).resolve().parent
@@ -317,6 +342,17 @@ def test_diagnose_rejects_factor_direction_with_exit_1(tmp_path):
     assert proc.stderr == ("hdfactor: error: direction 1 is a factor direction "
                            f"(r_hat = {r_hat}), not a residual one\n")
     # Every check runs before diagnose writes or prints anything.
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_diagnose_rejects_a_repeated_direction_with_exit_1(tmp_path):
+    path, panel = write_panel_csv(tmp_path, n=300, p=10, seed=11)
+    assert estimate(panel, k0=1).r_hat < 4
+    out = tmp_path / "out"
+    proc = run_cli("diagnose", path, "--k0", 1, "--directions", "4,4", "--out", out)
+    assert proc.returncode == 1
+    assert proc.stderr == "hdfactor: error: directions repeat direction 4\n"
     assert proc.stdout == ""
     assert not out.exists()
 
@@ -695,6 +731,21 @@ def test_rates_rejects_a_tracked_index_below_1_with_exit_1(tmp_path, text, messa
     assert proc.returncode == 1
     assert proc.stderr == f"hdfactor: error: {message}\n"
     assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_rates_without_an_n_grid_exits_2_before_any_replication(tmp_path, monkeypatch, capsys):
+    from hdfactor import simulation
+
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    cfg = tmp_path / "rates.json"
+    cfg.write_text('{"n": 60, "p": 10}')
+    out = tmp_path / "rates"
+    assert cli.main(["rates", "--scenario", str(cfg), "--reps", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "hdfactor: error: scenario file is missing keys: n_grid\n")
     assert not out.exists()
 
 

@@ -110,6 +110,16 @@ def test_residual_projection_rejects_factor_direction():
         residual_projection_acf(model, (21,), 10)
 
 
+@pytest.mark.parametrize("directions, repeated", [((4, 4), 4), ((5, 4, 6, 4), 4), ((4, 5, 5), 5)])
+def test_residual_projection_rejects_a_repeated_direction(directions, repeated):
+    # A repeated direction would be reported, and written, once per copy.
+    panel, _ = generate(table1_scenario(400, 20, seed=9))
+    model = estimate(panel, k0=1)
+    assert model.r_hat < 4
+    with pytest.raises(DomainError, match=f"^directions repeat direction {repeated}$"):
+        residual_projection_acf(model, directions, 10)
+
+
 def test_residual_projection_zero_variance_on_noiseless_panel():
     scn = replace(table1_scenario(300, 10, seed=10), noise_var=0.0)
     panel, _ = generate(scn)
