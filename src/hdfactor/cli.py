@@ -24,7 +24,7 @@ from .errors import DimensionError, DomainError, HDFactorError, ParseError
 
 
 def _fit_names() -> dict:
-    """numpy and the library names every command uses: fits, panel files and outputs.
+    """numpy and the fit commands' names (fits, panel files, outputs), which all commands bind.
 
     The CLI reads each panel through the cache of parsed tables, under the
     name ``load_csv``.

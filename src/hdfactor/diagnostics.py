@@ -96,9 +96,9 @@ def residual_projection_acf(model: FactorModel, directions: Sequence[int],
     """Cross-ACF of the fitted panel projected on post-factor eigen-directions.
 
     ``directions`` are distinct 1-based eigenvalue indices of the fitted
-    spectrum; each must exceed the estimated factor count (indices at or below it
-    are factors, not residual directions) and be at most the number of
-    eigenvectors the fit holds, min(p, n).  If the fit removed all serial
+    spectrum; each must exceed the estimated factor count (indices at or
+    below it are factors, not residual directions) and be at most the
+    number of eigenvectors the fit holds, min(p, n).  If the fit removed all serial
     correlation, these projected series behave like white noise.
 
     A direction whose eigenvalue is at or below ``RATIO_FLOOR`` (1e-12) of
