@@ -304,12 +304,8 @@ def _load(path, orientation: str, cached: bool) -> Panel:
     """The Panel of the CSV file at ``path``; ``cached`` reads the table through the cache."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    entry = _cache_entry(raw) if cached else None
-    table = None if entry is None else _read_entry(entry)
+    entry, table, text = _read_cached(path) if cached else (None, None, read_text(path))
     if table is None:
-        text = _decode(raw, path)
         table = _bulk_table(text, path) or _row_table(text, path)
         if entry is not None:
             _write_entry(entry, table)
@@ -323,6 +319,19 @@ CACHE_ENTRIES = 16
 # Faults of the cache's own files and directory: a read fault is a miss, a
 # write fault leaves no entry.
 _CACHE_FAULTS = (OSError, ValueError)
+
+
+def _read_cached(path):
+    """The cache file of the CSV at ``path`` (None with no cache), its stored table, and its text.
+
+    On a hit the text is None; on a miss the table is None.  The file's
+    bytes go before the caller parses the text, as ``read_text``'s do.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    entry = _cache_entry(raw)
+    table = None if entry is None else _read_entry(entry)
+    return entry, table, None if table is not None else _decode(raw, path)
 
 
 def _cache_entry(raw: bytes) -> Optional[Path]:
