@@ -7,6 +7,7 @@ parsers fail: a fit that still succeeds read its table from the cache.
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,3 +263,23 @@ def test_the_cache_folder_is_private_to_its_user(tmp_path, cache, capsys):
     path = _csv(tmp_path, labelled=False)
     assert _fit(capsys, path, tmp_path / "out")[0] == 0
     assert (cache / "hdfactor" / "panels").stat().st_mode & 0o777 == 0o700
+
+
+def test_a_load_frees_the_file_bytes_before_the_parse(tmp_path, cache):
+    # A load holds the decoded text through the parse, as the parse alone
+    # does, but not the file's bytes as well.
+    path = tmp_path / "wide.csv"
+    save_csv(Panel(np.random.default_rng(5).standard_normal((50, 2000))), path)
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parse = peak(lambda p: panel_module._bulk_table(panel_module.read_text(p), p))
+    for load in (load_csv, panel_module.load_csv_cached):  # the cached load misses
+        assert peak(load) < parse + path.stat().st_size // 2
+    assert len(_entries(cache)) == 1
