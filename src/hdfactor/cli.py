@@ -33,9 +33,9 @@ def _fit_names() -> dict:
 
     from . import _openblas
     from .estimation import estimate, two_step_estimate
-    from .panel import SeasonalSpec, seasonal_demean, write_matrix_csv
+    from .panel import SeasonalSpec, matrix_rows, seasonal_demean, write_csv
     from .panel import load_csv_cached as load_csv
-    from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict, write_csv
+    from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict
 
     return locals()
 
@@ -209,9 +209,9 @@ def cmd_fit(args) -> int:
     dump_json(out / "model.json", model_to_dict(model))
     _write_trace_csvs(out, model, ("_pass1", "_pass2") if args.two_step else ("",))
     if args.dump_loadings:
-        write_matrix_csv(out / "loadings.csv", model.loadings, panel.series_labels)
+        write_csv(out / "loadings.csv", None, matrix_rows(model.loadings, panel.series_labels))
     if args.dump_factors:
-        write_matrix_csv(out / "factors.csv", model.factors.T, panel.time_labels)
+        write_csv(out / "factors.csv", None, matrix_rows(model.factors.T, panel.time_labels))
     _print_fit(model)
     return 0
 
@@ -293,6 +293,13 @@ def _real(value) -> float:
 _ints, _floats = _many(_integer), _many(_real)
 
 
+def _label(value) -> str:
+    """``str(value)``, refusing a list or an object."""
+    if isinstance(value, (list, dict)):
+        raise ValueError(value)
+    return str(value)
+
+
 def _optional_float(value):
     return None if value is None else _real(value)
 
@@ -304,7 +311,7 @@ def _study_file(args, study=None):
     """
     config = load_config(args.scenario)
     study = str(config.get("study", "")).strip() if study is None else study
-    scenario_id = str(config.get("id", Path(args.scenario).stem))
+    scenario_id = _given(config, id=_label).get("id", Path(args.scenario).stem)
     reps = args.reps if args.reps is not None else _given(config, reps=_integer).get("reps", 200)
     seed = args.seed if args.seed is not None else _given(config, seed=_integer).get("seed", 0)
     head = {"id": scenario_id, "study": study, "reps": reps, "metadata": {

@@ -1,4 +1,4 @@
-"""Observed-panel representation, CSV ingestion and preprocessing.
+"""Observed-panel representation, CSV input and output, and preprocessing.
 
 A panel is a p-variate time series of length n held series-major: row i is
 series i, column t is the cross-section observed at time t.  Every
@@ -13,13 +13,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -216,6 +217,7 @@ def _row_table(text: str, path):
 # rejects them, and a C string ends at \x00.
 _UNSAFE = "\x00\x1c\x1d\x1e\x1f"
 _QUOTED = re.compile(r'"([^"]*)"')
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def _unquote(field: str) -> Optional[str]:
@@ -422,33 +424,50 @@ def save_csv(panel: Panel, path, orientation: str = "rows-are-time") -> None:
     """Write a panel back to CSV at full round-trip precision (17 digits)."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
+    values, row_labels, col_labels = panel.values, panel.series_labels, panel.time_labels
     if orientation == "rows-are-time":
-        write_matrix_csv(path, panel.values.T, panel.time_labels, panel.series_labels)
-    else:
-        write_matrix_csv(path, panel.values, panel.series_labels, panel.time_labels)
+        values, row_labels, col_labels = values.T, col_labels, row_labels
+    # A header over a label column starts with an empty corner cell.
+    header = None if col_labels is None else [""] * (row_labels is not None) + list(col_labels)
+    write_csv(path, header, matrix_rows(values, row_labels))
 
 
-def write_matrix_csv(path, matrix: np.ndarray, row_labels: Optional[Sequence[str]] = None,
-                     col_labels: Optional[Sequence[str]] = None) -> None:
-    """Write any 2-D matrix in ``save_csv``'s layout, with no panel shape check.
+def matrix_rows(matrix: np.ndarray, labels: Optional[Sequence[str]] = None):
+    """``write_csv`` rows of a 2-D matrix: each row's values as one cell, after its label if any."""
+    return ((row,) for row in matrix) if labels is None else zip(labels, matrix)
 
-    A header line holds ``col_labels`` (after an empty corner cell when
-    rows are labelled too); each row starts with its label when
-    ``row_labels`` is given.  Values use 17 significant digits.
+
+def write_csv(path, header: Optional[Iterable], rows: Iterable[Iterable]) -> None:
+    """Write a CSV file one row at a time: ``header`` unless None, then ``rows``.
+
+    Every CSV the package writes goes through here.  A 1-D array cell is its
+    floats, one field each, in one ``"%.17g"`` %-format.  A bool reads
+    ``true``/``false``, an int its digits, another number 17 digits.  A str
+    holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted as ``csv.writer`` quotes it,
+    so ``load_csv`` reads each label back.
     """
-    lines = []
-    if col_labels is not None:
-        header = list(col_labels)
-        if row_labels is not None:
-            header = [""] + header
-        lines.append(",".join(header))
-    for i, row in enumerate(matrix.tolist()):
-        cells = format_floats(row)
-        if row_labels is not None:  # a row with no values is its label alone
-            cells = ",".join([row_labels[i], cells]) if row else row_labels[i]
-        lines.append(cells)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for row in rows if header is None else itertools.chain([header], rows):
+            handle.write(",".join(_fields(row)) + "\n")
+
+
+def _fields(row: Iterable):
+    for cell in row:
+        if isinstance(cell, np.ndarray):
+            if cell.size:
+                yield format_floats(cell.tolist())
+        elif isinstance(cell, str):
+            yield '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+        elif isinstance(cell, (bool, np.bool_)):
+            yield "true" if cell else "false"
+        elif isinstance(cell, (int, np.integer)):
+            yield str(int(cell))
+        else:
+            yield fmt_float(cell)
+
+
+def fmt_float(value: float) -> str:
+    return format(float(value), ".17g")
 
 
 def format_floats(values: Sequence[float], sep: str = ",") -> str:
@@ -457,8 +476,7 @@ def format_floats(values: Sequence[float], sep: str = ",") -> str:
     ``"%.17g" % v`` is ``format(v, ".17g")`` for every float, so NaN and
     infinities read ``nan``, ``inf`` and ``-inf``.
     """
-    values = tuple(values)
-    return sep.join(["%.17g"] * len(values)) % values
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 
 def center(panel: Panel) -> Panel:

@@ -1,10 +1,10 @@
 """Deterministic file output and config parsing.
 
 All floating-point output is rendered with 17 significant digits so that
-every CSV and JSON file round-trips to the exact binary value.  JSON is
-written by a small streaming writer of our own because the stdlib encoder
-offers no control over float formatting; NaN (undefined ratio entries)
-and +-inf map to null.  The writer hands the file one piece at a time and
+every CSV and JSON file round-trips to the exact binary value.  CSV goes
+through ``panel.write_csv``, re-exported here.  JSON is written by a small
+streaming writer of our own because the stdlib encoder offers no control
+over float formatting; NaN (undefined ratio entries) and +-inf map to null.  The writer hands the file one piece at a time and
 formats a list of floats (the embedded loadings and factor series) a
 chunk at a time, so a wide model never exists as one string in memory.
 Config files are read as UTF-8, with or without a byte-order mark.
@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
-from .panel import format_floats, read_text
+from .panel import fmt_float, format_floats, read_text, write_csv
 
 __all__ = [
     "fmt_float",
@@ -30,27 +30,6 @@ __all__ = [
     "acf_rows",
     "load_config",
 ]
-
-
-def fmt_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return fmt_float(value)
-
-
-def write_csv(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(value) for value in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 _FLOAT_CHUNK = 4096  # items per write when a JSON list holds only floats
@@ -157,13 +136,9 @@ def model_to_dict(model: FactorModel, *, extras: Optional[dict] = None) -> dict:
 
 def acf_rows(report) -> list:
     """Flatten an ACF report to (i, j, lag, value, band) rows."""
-    rows = []
-    ids = report.series_ids
-    for i in range(len(ids)):
-        for j in range(len(ids)):
-            for lag in range(report.max_lag + 1):
-                rows.append((ids[i], ids[j], lag, report.acf[i, j, lag], report.band))
-    return rows
+    ids, lags = report.series_ids, range(report.max_lag + 1)
+    return [(a, b, lag, report.acf[i, j, lag], report.band)
+            for i, a in enumerate(ids) for j, b in enumerate(ids) for lag in lags]
 
 
 def _coerce_scalar(text: str):
@@ -185,8 +160,8 @@ def load_config(path) -> dict:
     """Read a UTF-8 scenario/config file: JSON, or flat ``key = value`` lines.
 
     In the flat form, '#' starts a comment, and comma-separated values
-    become lists.  Scalars are coerced to bool, int or float when they
-    parse as such.
+    become lists, save ``id``'s.  Scalars are coerced to bool, int or float
+    when they parse as such.
     """
     text = read_text(path)
     stripped = text.lstrip()
@@ -203,9 +178,9 @@ def load_config(path) -> dict:
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        value = value.strip()
-        if "," in value:
-            config[key.strip()] = [_coerce_scalar(v) for v in value.split(",")]
+        key, value = key.strip(), value.strip()
+        if "," in value and key != "id":  # an id is one label, commas and all
+            config[key] = [_coerce_scalar(v) for v in value.split(",")]
         else:
-            config[key.strip()] = _coerce_scalar(value)
+            config[key] = _coerce_scalar(value)
     return config

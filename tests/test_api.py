@@ -131,3 +131,59 @@ def test_only_errors_py_states_the_integer_rule():
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert _int_self_comparisons(ast.parse((package / "errors.py").read_text()))
 
+
+
+def _open_mode(call):
+    """The mode node of an ``open``, ``os.fdopen``, ``Path.open`` or ``Path.write_text`` call.
+
+    A constant "r" stands for an omitted mode; None means ``call`` opens no file.
+    """
+    func = call.func
+    attr = func.attr if isinstance(func, ast.Attribute) else None
+    if attr == "write_text":
+        return ast.Constant("w")
+    if isinstance(func, ast.Name) and func.id == "open" or attr == "fdopen":
+        position = 1
+    elif attr == "open":
+        position = 0
+    else:
+        return None
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:][:1]
+    return modes[0] if modes else ast.Constant("r")
+
+
+def _text_writers(tree):
+    """Names of the functions that open a file to write text; a mode that is no constant counts."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            mode = _open_mode(child) if isinstance(child, ast.Call) else None
+            if mode is not None and not (
+                    isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and ("b" in mode.value or not set(mode.value) & set("wax+"))):
+                found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_write_csv_and_dump_json_open_a_file_to_write_text():
+    # panel.write_csv frames every CSV file and serialize.dump_json every JSON
+    # file; a module opening its own text file would bring back a second
+    # framing, with its own quoting, line ends and memory use.
+    package = Path(hdfactor.__file__).parent
+    found = {path.name: _text_writers(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {
+        "panel.py": ["write_csv"], "serialize.py": ["dump_json"]}
+    # The guard sees each kind of call it claims to.
+    calls = ['open(p, "w")', 'open(p, mode="a")', "open(p, mode)", 'Path(p).open("w+")',
+             'os.fdopen(fd, "w")', 'Path(p).write_text("x")', 'open(p)', 'open(p, "rb")',
+             'open(p, "xb")', 'os.fdopen(fd, "wb")', 'Path(p).open()']
+    tree = ast.parse("\n".join(f"def f{k}():\n    {call}" for k, call in enumerate(calls)))
+    assert _text_writers(tree) == ["f0", "f1", "f2", "f3", "f4", "f5"]

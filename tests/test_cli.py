@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -127,6 +128,25 @@ def test_estimate_dumps_a_one_factor_fit(tmp_path):
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(_csv_matrix(out / "factors.csv"), expected.factors.T,
                                rtol=1e-12, atol=1e-12)
+
+
+def test_dumped_matrices_keep_labels_that_need_quotes(tmp_path):
+    panel, _ = generate(s1_scenario(150, 30, seed=4))
+    panel = Panel(panel.values, series_labels=[f'GDP, "real"\n{i}' for i in range(panel.p)],
+                  time_labels=[f"2020,{t}" for t in range(panel.n)])
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, "rows-are-time")
+    out = tmp_path / "out"
+    proc = run_cli("estimate", path, "--out", out, "--dump-loadings", "--dump-factors")
+    assert proc.returncode == 0, proc.stderr
+    r_hat = json.loads((out / "model.json").read_text())["r_hat"]
+    assert r_hat >= 1
+    for name, labels in (("loadings.csv", panel.series_labels),
+                         ("factors.csv", panel.time_labels)):
+        with open(out / name, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows] == list(labels)
+        assert {len(row) for row in rows} == {r_hat + 1}
 
 
 def test_two_step_dumps_one_first_pass_factor_and_none_after(tmp_path):
@@ -471,6 +491,41 @@ def test_simulate_table1_smoke(tmp_path):
     assert doc["study"] == "table1"
     assert doc["cells"][0]["n"] == 50
     assert (out / "cells.csv").exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("grid.cfg", "id = gdp, real\nstudy = table1\ndeltas = 0.0\nn_grid = 50\np_rules = 0.2\n"),
+    ("grid.json", '{"id": "gdp, real", "study": "table1", "deltas": [0.0], "n_grid": [50], '
+                  '"p_rules": [0.2]}'),
+], ids=["flat", "json"])
+def test_a_scenario_id_with_a_comma_is_one_quoted_field(tmp_path, name, text):
+    scenario = tmp_path / name
+    scenario.write_text(text)
+    out = tmp_path / "sim"
+    proc = run_cli("simulate", "--scenario", scenario, "--reps", 2, "--seed", 1, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "result.json").read_text())["id"] == "gdp, real"
+    with open(out / "cells.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["scenario_id", "delta", "n", "p", "p_rule", "reps", "freq_correct"]
+    assert [row[0] for row in rows[1:]] == ["gdp, real"]
+    assert {len(row) for row in rows} == {7}
+
+
+def test_a_list_scenario_id_exits_2_before_any_replication(tmp_path, monkeypatch, capsys):
+    from hdfactor import simulation
+
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text('{"id": ["gdp", "real"], "study": "table1", "n_grid": [50], "p_rules": [0.2]}')
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", str(cfg), "--reps", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "hdfactor: error: scenario key 'id' has an invalid value: ['gdp', 'real']\n")
+    assert not out.exists()
 
 
 def test_simulate_exits_1_with_a_message_when_a_worker_dies(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -95,6 +97,40 @@ def test_round_trip_preserves_values_exactly(tmp_path):
         assert_array_equal(back.values, panel.values)
         assert back.series_labels == panel.series_labels
         assert back.time_labels == panel.time_labels
+
+
+@pytest.mark.parametrize("orientation", panel_module.ORIENTATIONS)
+def test_labels_that_need_quotes_round_trip(tmp_path, orientation):
+    # Each label holds a character that csv.writer quotes; save_csv quotes it
+    # too, so load_csv and csv.reader read every label and bit back.
+    panel = Panel(np.random.default_rng(11).standard_normal((4, 5)) * 1e3,
+                  series_labels=["GDP, real", 'say "hi"', "two\nlines", "cr\r\nlf"],
+                  time_labels=["2020,Q1", '"', ",", "t\n4", '""'])
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, orientation)
+    back = load_csv(path, orientation)
+    assert back.values.tobytes() == panel.values.tobytes()
+    assert back.series_labels == panel.series_labels
+    assert back.time_labels == panel.time_labels
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    rows = rows if orientation == "rows-are-series" else [list(col) for col in zip(*rows)]
+    assert rows[0] == ["", *panel.time_labels]
+    assert [row[0] for row in rows[1:]] == list(panel.series_labels)
+
+
+@pytest.mark.parametrize("orientation", panel_module.ORIENTATIONS)
+def test_save_csv_holds_one_row_at_a_time(tmp_path, orientation):
+    # The file is 8 MB; written row by row, no more than a row's text is held.
+    panel = Panel(np.random.default_rng(6).standard_normal((2000, 200)))
+    tracemalloc.start()
+    try:
+        save_csv(panel, tmp_path / "wide.csv", orientation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "wide.csv").stat().st_size > 7_000_000
+    assert peak < 1_000_000
 
 
 def test_panel_rejects_non_finite():
