@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .errors import DimensionError, DomainError, HDFactorError, ParseError
+from .errors import DimensionError, DomainError, HDFactorError, ParseError, _integer_in
 
 
 def _fit_names() -> dict:
@@ -277,10 +278,10 @@ def _many(kind):
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a bool and a number with a fractional part."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
+    """``value`` under the library's integer rule, with a str read by ``int()`` first."""
+    if isinstance(value, str):
+        value = int(value)
+    return _integer_in("scenario value", value, -math.inf)
 
 
 def _real(value) -> float:

@@ -10,6 +10,7 @@ in a per-user cache so that a file is parsed once.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
@@ -24,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParseError, _integer_in
+from .errors import DimensionError, DomainError, HDFactorError, ParseError, _integer_in
 
 __all__ = [
     "Panel",
@@ -129,23 +130,17 @@ def read_text(path) -> str:
 
 
 def _decode(raw: bytes, path) -> str:
-    """``read_text`` of a file whose bytes are ``raw``.
-
-    The ``utf-8-sig`` codec skips a byte-order mark, so the offset in its
-    ``UnicodeDecodeError`` is not a file offset; on that failure the bytes
-    are decoded again as plain UTF-8 to find one.
-    """
+    """``read_text`` of a file whose bytes are ``raw``."""
     try:
         return raw.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        pass
-    try:
-        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # The codec counts from after the byte-order mark it skips.
+        offset = exc.start
+        if raw.startswith(codecs.BOM_UTF8):
+            offset += len(codecs.BOM_UTF8)
         raise ParseError(
-            f"{path} is not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+            f"{path} is not UTF-8 text: byte 0x{raw[offset]:02x} at offset {offset}"
         ) from None
-    raise ParseError(f"{path} is not UTF-8 text")
 
 
 def _is_numeric(text: str) -> bool:
@@ -158,16 +153,19 @@ def _is_numeric(text: str) -> bool:
 def _layout(first_row: Sequence[str], heads: Sequence[str], width: int, path):
     """Header row and label column of a table, from its first row and each row's first cell.
 
-    A header row / label column is recognized only when wholly non-numeric;
-    a stray non-numeric cell inside otherwise numeric data is a parse error.
+    An empty first cell in a table two or more columns wide marks both, as
+    ``save_csv``, R's ``write.csv`` and pandas' ``to_csv`` frame labels.
+    Otherwise each is recognized only when wholly non-numeric; a stray
+    non-numeric cell inside otherwise numeric data is a parse error.
     Returns ``(skip, first, row_labels, col_labels)``: the number of header
     rows, the index of the first data column, and the labels or None.
     """
-    skip = 0 if any(map(_is_numeric, first_row)) else 1
+    corner = width > 1 and first_row[0] == ""
+    skip = 1 if corner or not any(map(_is_numeric, first_row)) else 0
     heads = heads[skip:]
     if not heads:
         raise DimensionError(f"no data rows in {path}")
-    first = 0 if any(map(_is_numeric, heads)) else 1
+    first = 1 if corner or not any(map(_is_numeric, heads)) else 0
     if first and width < 2:
         raise DimensionError(f"no data columns in {path}")
     col_labels = tuple(first_row[first:]) if skip else None
@@ -273,8 +271,8 @@ def load_csv(path, orientation: str = "rows-are-time") -> Panel:
     """Read a rectangular numeric CSV into a Panel.
 
     The file may carry a single header row and/or a single leading label
-    column; both are detected by non-numeric content.  Error messages name
-    a cell by the file line its row starts on and its 1-based column.
+    column, detected by non-numeric content or an empty first cell.  Error
+    messages name a cell by the file line its row starts on and its 1-based column.
 
     Parameters
     ----------
@@ -306,34 +304,34 @@ def _load(path, orientation: str, cached: bool) -> Panel:
     """The Panel of the CSV file at ``path``; ``cached`` reads the table through the cache."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    entry, table, text = _read_cached(path) if cached else (None, None, read_text(path))
-    if table is None:
-        table = _bulk_table(text, path) or _row_table(text, path)
-        if entry is not None:
-            _write_entry(entry, table)
-    data, row_labels, col_labels = table
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    entry = _cache_entry(raw) if cached else None
+    table = None if entry is None else _read_entry(entry)
+    if table is not None:
+        with contextlib.suppress(HDFactorError):  # a table that is no panel is a miss
+            return Panel(*_oriented(orientation, *table))
+    text = _decode(raw, path)
+    del raw  # the file's bytes go before the parse
+    table = _bulk_table(text, path) or _row_table(text, path)
+    panel = Panel(*_oriented(orientation, *table))
+    if entry is not None:
+        _write_entry(entry, table)
+    return panel
+
+
+def _oriented(orientation: str, matrix: np.ndarray, row_labels, col_labels):
+    """A table's (matrix, row labels, column labels) as a panel's (values, series labels,
+    time labels), and a panel's as a table's: the mapping is its own inverse."""
     if orientation == "rows-are-time":
-        return Panel(data.T, series_labels=col_labels, time_labels=row_labels)
-    return Panel(data, series_labels=row_labels, time_labels=col_labels)
+        return matrix.T, col_labels, row_labels
+    return matrix, row_labels, col_labels
 
 
 CACHE_ENTRIES = 16
 # Faults of the cache's own files and directory: a read fault is a miss, a
 # write fault leaves no entry.
 _CACHE_FAULTS = (OSError, ValueError)
-
-
-def _read_cached(path):
-    """The cache file of the CSV at ``path`` (None with no cache), its stored table, and its text.
-
-    On a hit the text is None; on a miss the table is None.  The file's
-    bytes go before the caller parses the text, as ``read_text``'s do.
-    """
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    entry = _cache_entry(raw)
-    table = None if entry is None else _read_entry(entry)
-    return entry, table, None if table is not None else _decode(raw, path)
 
 
 def _cache_entry(raw: bytes) -> Optional[Path]:
@@ -424,9 +422,8 @@ def save_csv(panel: Panel, path, orientation: str = "rows-are-time") -> None:
     """Write a panel back to CSV at full round-trip precision (17 digits)."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-    values, row_labels, col_labels = panel.values, panel.series_labels, panel.time_labels
-    if orientation == "rows-are-time":
-        values, row_labels, col_labels = values.T, col_labels, row_labels
+    values, row_labels, col_labels = _oriented(orientation, panel.values, panel.series_labels,
+                                               panel.time_labels)
     # A header over a label column starts with an empty corner cell.
     header = None if col_labels is None else [""] * (row_labels is not None) + list(col_labels)
     write_csv(path, header, matrix_rows(values, row_labels))
@@ -441,10 +438,9 @@ def write_csv(path, header: Optional[Iterable], rows: Iterable[Iterable]) -> Non
     """Write a CSV file one row at a time: ``header`` unless None, then ``rows``.
 
     Every CSV the package writes goes through here.  A 1-D array cell is its
-    floats, one field each, in one ``"%.17g"`` %-format.  A bool reads
-    ``true``/``false``, an int its digits, another number 17 digits.  A str
-    holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted as ``csv.writer`` quotes it,
-    so ``load_csv`` reads each label back.
+    floats, one field each, in one ``"%.17g"`` %-format; another number is
+    ``fmt_number``'s.  A str holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted
+    as ``csv.writer`` quotes it, so ``load_csv`` reads each label back.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for row in rows if header is None else itertools.chain([header], rows):
@@ -458,12 +454,17 @@ def _fields(row: Iterable):
                 yield format_floats(cell.tolist())
         elif isinstance(cell, str):
             yield '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
-        elif isinstance(cell, (bool, np.bool_)):
-            yield "true" if cell else "false"
-        elif isinstance(cell, (int, np.integer)):
-            yield str(int(cell))
         else:
-            yield fmt_float(cell)
+            yield fmt_number(cell)
+
+
+def fmt_number(value) -> str:
+    """A number as CSV and JSON write it: ``true``/``false``, an int's digits, or 17 digits."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return fmt_float(value)
 
 
 def fmt_float(value: float) -> str:

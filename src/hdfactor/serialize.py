@@ -4,9 +4,11 @@ All floating-point output is rendered with 17 significant digits so that
 every CSV and JSON file round-trips to the exact binary value.  CSV goes
 through ``panel.write_csv``, re-exported here.  JSON is written by a small
 streaming writer of our own because the stdlib encoder offers no control
-over float formatting; NaN (undefined ratio entries) and +-inf map to null.  The writer hands the file one piece at a time and
-formats a list of floats (the embedded loadings and factor series) a
-chunk at a time, so a wide model never exists as one string in memory.
+over float formatting; a number reads as in CSV (``panel.fmt_number``),
+save NaN (undefined ratio entries) and +-inf, which map to null.  The
+writer hands the file one piece at a time and formats a list of floats
+(the embedded loadings and factor series) a chunk at a time, so a wide
+model never exists as one string in memory.
 Config files are read as UTF-8, with or without a byte-order mark.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
-from .panel import fmt_float, format_floats, read_text, write_csv
+from .panel import fmt_float, fmt_number, format_floats, read_text, write_csv
 
 __all__ = [
     "fmt_float",
@@ -38,15 +40,10 @@ _FLOAT_CHUNK = 4096  # items per write when a JSON list holds only floats
 def _scalar(obj) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if math.isnan(value) or math.isinf(value):
-            return "null"
-        return fmt_float(value)
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return "null"
+    if isinstance(obj, (int, float, np.bool_, np.integer, np.floating)):
+        return fmt_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

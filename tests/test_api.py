@@ -105,8 +105,12 @@ def test_version_help_and_usage_errors_start_without_numpy(capsys, monkeypatch):
     assert set(PUBLIC_NAMES) <= set(fresh["dir"])
 
 
-def _int_self_comparisons(tree):
-    """Line numbers where ``int(x)`` is compared with ``x`` itself, in either order."""
+def _integer_checks(tree):
+    """Line numbers of the integer checks in ``tree``.
+
+    A check is ``int(x)`` compared with ``x`` itself, in either order, or a
+    call of an ``is_integer`` method.
+    """
     def int_of(node):
         is_int = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "int" and len(node.args) == 1)
@@ -119,18 +123,25 @@ def _int_self_comparisons(tree):
             for operand in [node.left, *node.comparators]:
                 if int_of(operand) in operands:
                     lines.append(node.lineno)
-    return lines
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "is_integer"):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 def test_only_errors_py_states_the_integer_rule():
     # errors._integer_in is the one integer check: a module with its own
-    # ``int(x) != x`` would bring back a second rule and its own message.
+    # ``int(x) != x`` or ``x.is_integer()`` would bring back a second rule
+    # and its own message.
     package = Path(hdfactor.__file__).parent
-    found = {path.name: _int_self_comparisons(ast.parse(path.read_text()))
+    found = {path.name: _integer_checks(ast.parse(path.read_text()))
              for path in sorted(package.glob("*.py")) if path.name != "errors.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
-    assert _int_self_comparisons(ast.parse((package / "errors.py").read_text()))
-
+    assert _integer_checks(ast.parse((package / "errors.py").read_text()))
+    # The guard sees each kind of check it claims to.
+    checks = ["int(x) != x", "x == int(x)", "float(v).is_integer()", "v.is_integer()",
+              "int(x) != y", "is_integer(v)"]
+    assert _integer_checks(ast.parse("\n".join(checks))) == [1, 2, 3, 4]
 
 
 def _open_mode(call):

@@ -19,6 +19,7 @@ from hdfactor import (
     save_csv,
     seasonal_demean,
 )
+from hdfactor.serialize import load_config
 from helpers import NON_INTEGERS, integer_message
 
 try:
@@ -117,6 +118,29 @@ def test_labels_that_need_quotes_round_trip(tmp_path, orientation):
     rows = rows if orientation == "rows-are-series" else [list(col) for col in zip(*rows)]
     assert rows[0] == ["", *panel.time_labels]
     assert [row[0] for row in rows[1:]] == list(panel.series_labels)
+
+
+@pytest.mark.parametrize("orientation", panel_module.ORIENTATIONS)
+def test_numeric_labels_round_trip_under_the_empty_corner_cell(tmp_path, orientation):
+    # save_csv frames labels on both axes with an empty corner cell, which
+    # marks a header row and a label column however numeric the labels read.
+    panel = Panel(np.arange(6.).reshape(2, 3) + 0.5, series_labels=["a", "b"],
+                  time_labels=["2001", "2002", "2003"])
+    path = tmp_path / "panel.csv"
+    save_csv(panel, path, orientation)
+    back = load_csv(path, orientation)
+    assert back.values.tobytes() == panel.values.tobytes()
+    assert back.series_labels == panel.series_labels
+    assert back.time_labels == panel.time_labels
+
+
+def test_load_csv_reads_an_unnamed_index_as_labels(tmp_path):
+    # pandas' to_csv writes an unnamed integer index under an empty corner cell.
+    path = write(tmp_path, ",a,b\n0,1.5,2\n1,3,4.25\n")
+    panel = load_csv(path, "rows-are-time")
+    assert panel.values.tobytes() == np.array([[1.5, 3], [2, 4.25]]).tobytes()
+    assert panel.series_labels == ("a", "b")
+    assert panel.time_labels == ("0", "1")
 
 
 @pytest.mark.parametrize("orientation", panel_module.ORIENTATIONS)
@@ -320,6 +344,15 @@ def test_load_csv_rejects_non_utf8_with_file_and_offset(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + body + b"3,\xe9\n")
     with pytest.raises(ParseError, match=f"byte 0xe9 at offset {3 + len(body) + 2}$"):
         load_csv(path)
+    # The codec skips a whole mark and counts from after it, so a file that
+    # starts with one gets the mark's length back; a partial mark does not.
+    for raw, byte, offset in [(b"\xef\xbb", 0xef, 0),
+                              (b"\xef\xbb\xbf\xef\xbb", 0xef, 3),
+                              (b"\xef\xbb\xbf\xe9,1\n", 0xe9, 3)]:
+        path.write_bytes(raw)
+        for read in (load_csv, load_config):
+            with pytest.raises(ParseError, match=f"byte 0x{byte:02x} at offset {offset}$"):
+                read(path)
 
 
 # sha256 of save_csv's output, computed while it formatted each value on its own.
@@ -363,7 +396,7 @@ def _row_path_outcome(path, orientation="rows-are-series"):
     ("1\n2\n3\n", True),
     ("d,a,b\nt1, 1 ,2e3\nt2,-0,.5\n", True),
     ('"","a","b"\n"t1",1,2\n"t2",3,4\n', True),  # R's write.csv, named rows
-    ('"","a","b"\n"1",1,2\n"2",3,4\n', True),    # R's row numbers, read as data
+    ('"","a","b"\n"1",1,2\n"2",3,4\n', True),    # R's row numbers, labels by the empty corner
     ('1,"2"\n3,4\n', False),                     # a quoted number past the first column
     ('"a,b",c\n1,2\n3,4\n', False),
     ('a,b\n"t""1",1\n"t2",3\n', False),

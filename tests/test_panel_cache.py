@@ -110,14 +110,35 @@ def _truncated(entry):
     return entry.read_bytes()[: entry.stat().st_size // 2]
 
 
-def _wrong_labels(entry):
-    # A well-formed entry whose labels do not fit its table.
+def _stored(entry):
+    """The table and labels an entry holds."""
     with open(entry, "rb") as handle:
-        data = np.load(handle)
+        return np.load(handle), json.loads(np.load(handle).tobytes())
+
+
+def _rewritten(entry, data, labels):
+    """The bytes of a well-formed entry holding ``data`` and ``labels``, written at ``entry``."""
     with open(entry, "wb") as handle:
         np.save(handle, data)
-        np.save(handle, np.frombuffer(json.dumps([["a"], None]).encode(), np.uint8))
+        np.save(handle, np.frombuffer(json.dumps(labels).encode(), np.uint8))
     return entry.read_bytes()
+
+
+def _wrong_labels(entry):
+    # A well-formed entry whose labels do not fit its table.
+    return _rewritten(entry, _stored(entry)[0], [["a"], None])
+
+
+def _non_finite(entry):
+    # A well-formed entry whose table holds an inf, which no parse stores.
+    data, labels = _stored(entry)
+    data[0, 0] = np.inf
+    return _rewritten(entry, data, labels)
+
+
+def _one_cell(entry):
+    # A well-formed entry whose table is too small to be a panel.
+    return _rewritten(entry, _stored(entry)[0][:1, :1], [None, None])
 
 
 CORRUPTIONS = {
@@ -128,6 +149,8 @@ CORRUPTIONS = {
     "zip-magic": lambda entry: b"PK\x03\x04" + bytes(60),
     "pickle": lambda entry: b"\x80\x04\x95" + bytes(60),
     "wrong-labels": _wrong_labels,
+    "non-finite": _non_finite,
+    "one-cell": _one_cell,
 }
 
 
@@ -222,6 +245,7 @@ BAD_FILES = {
     "ragged": (b"1,2\n3\n5,6\n", "ragged row 2: expected 2 fields, got 1"),
     "latin-1": (b"1\n\xe9\n3\n", "{path} is not UTF-8 text: byte 0xe9 at offset 2"),
     "empty": (b"", "empty table in {path}"),
+    "one-cell": (b"5\n", "panel must be at least 1 x 2, got 1 x 1"),
 }
 
 
