@@ -34,9 +34,9 @@ def _fit_names() -> dict:
 
     from . import _openblas
     from .estimation import estimate, two_step_estimate
-    from .panel import SeasonalSpec, matrix_rows, seasonal_demean, write_csv
+    from .panel import SeasonalSpec, fmt_float, matrix_rows, seasonal_demean, write_csv
     from .panel import load_csv_cached as load_csv
-    from .serialize import acf_rows, dump_json, fmt_float, load_config, model_to_dict
+    from .serialize import acf_rows, dump_json, load_config, model_to_dict
 
     return locals()
 
@@ -107,7 +107,8 @@ def _index_list(text: str) -> list:
 
 def _add_panel_flags(sub):
     sub.add_argument("input", help="panel CSV file")
-    sub.add_argument("--orientation", choices=sorted(ORIENTATION_FLAGS), default="time-rows")
+    sub.add_argument("--orientation", choices=sorted(ORIENTATION_FLAGS), default="time-rows",
+                     help="whether each CSV row is one time point or one series")
     sub.add_argument("--seasonal-period", type=int, default=None,
                      help="remove per-season means before fitting (e.g. 12 for monthly data)")
     sub.add_argument("--k0", type=int, default=None, help="largest autocovariance lag pooled")
@@ -120,6 +121,18 @@ def _add_panel_flags(sub):
     sub.add_argument("--out", default=".", help="output directory")
 
 
+def _add_dump_flags(sub):
+    sub.add_argument("--dump-loadings", action="store_true", help="also write loadings.csv")
+    sub.add_argument("--dump-factors", action="store_true", help="also write factors.csv")
+
+
+def _add_study_flags(sub):
+    sub.add_argument("--scenario", required=True, help="scenario file (JSON or key = value lines)")
+    sub.add_argument("--reps", type=int, default=None, help="override replication count")
+    sub.add_argument("--seed", type=int, default=None, help="override the base seed")
+    sub.add_argument("--out", default=".", help="output directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hdfactor", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hdfactor {__version__}")
@@ -127,21 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = commands.add_parser("estimate", help="fit the one-step factor model to a panel")
     _add_panel_flags(est)
-    est.add_argument("--dump-loadings", action="store_true", help="also write loadings.csv")
-    est.add_argument("--dump-factors", action="store_true", help="also write factors.csv")
+    _add_dump_flags(est)
     est.set_defaults(func=cmd_fit, two_step=False, library=())
 
     two = commands.add_parser("two-step", help="fit the two-step model for mixed-strength factors")
     _add_panel_flags(two)
     two.add_argument("--r1", type=int, default=None, help="override the first-pass factor count")
-    two.add_argument("--dump-loadings", action="store_true")
-    two.add_argument("--dump-factors", action="store_true")
+    _add_dump_flags(two)
     two.set_defaults(func=cmd_fit, two_step=True, library=())
 
     diag = commands.add_parser("diagnose", help="fit, then run whiteness and variance diagnostics")
     _add_panel_flags(diag)
     diag.add_argument("--two-step", action="store_true", help="diagnose the two-step fit")
-    diag.add_argument("--max-lag", type=int, default=20)
+    diag.add_argument("--max-lag", type=int, default=20,
+                      help="largest lag of the factor and residual autocorrelations")
     diag.add_argument("--directions", type=_index_list, default=None,
                       help="comma-separated eigen indices (> r_hat) for residual projections")
     diag.add_argument("--project", default=None, metavar="FILE",
@@ -149,17 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=cmd_diagnose, library=(_diagnostics_names,))
 
     sim = commands.add_parser("simulate", help="run a Monte Carlo study from a scenario file")
-    sim.add_argument("--scenario", required=True, help="scenario file (JSON or key = value lines)")
-    sim.add_argument("--reps", type=int, default=None, help="override replication count")
-    sim.add_argument("--seed", type=int, default=None, help="override the base seed")
-    sim.add_argument("--out", default=".")
+    _add_study_flags(sim)
     sim.set_defaults(func=cmd_simulate, library=(_simulation_names,))
 
     rates = commands.add_parser("rates", help="empirical convergence-rate study with slope fits")
-    rates.add_argument("--scenario", required=True)
-    rates.add_argument("--reps", type=int, default=None)
-    rates.add_argument("--seed", type=int, default=None)
-    rates.add_argument("--out", default=".")
+    _add_study_flags(rates)
     rates.set_defaults(func=cmd_rates, library=(_simulation_names,))
     return parser
 

@@ -312,8 +312,8 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: int):
     Parameters
     ----------
     eigenvalues : sequence of float
-        Descending, nonnegative up to solver roundoff; small negatives are
-        clamped to zero.
+        Finite, descending, nonnegative up to solver roundoff; small
+        negatives are clamped to zero.
     ratio_span : int
         Largest index searched (the constant R), an integer in [1, p-1];
         ``default_ratio_span(p, n)`` is the rule ``estimate`` and the
@@ -321,6 +321,8 @@ def ratio_estimate(eigenvalues: Sequence[float], ratio_span: int):
     """
     lam = np.asarray(eigenvalues, dtype=float).copy()
     p = lam.size
+    if not np.isfinite(lam).all():
+        raise DomainError("spectrum has a non-finite eigenvalue")
     if p < 2:
         raise DimensionError("ratio estimation needs at least two eigenvalues")
     if np.any(np.diff(lam) > 1e-12 * max(abs(lam[0]), 1e-300)):

@@ -372,28 +372,23 @@ def _read_entry(entry: Path):
         # np.load's own .npy reader: np.load itself would also open a zip file.
         with open(entry, "rb") as handle:
             data = np.lib.format.read_array(handle, allow_pickle=False)
-            labels = np.lib.format.read_array(handle, allow_pickle=False)
-        if not (data.dtype == np.float64 and data.ndim == 2 and labels.dtype == np.uint8):
-            return None
-        labels = json.loads(labels.tobytes())
-        if not (isinstance(labels, list) and len(labels) == 2):
-            return None
-        row_labels, col_labels = map(_stored_labels, labels, data.shape)
-    except _CACHE_FAULTS:
+            labels = json.loads(handle.read())
+    except (*_CACHE_FAULTS, RecursionError):  # label text nested past the recursion limit
+        return None
+    # Panel checks the table's shape and the label counts, but would convert
+    # another dtype, or a label that is no str, silently.
+    if not (data.dtype == np.float64 and isinstance(labels, list) and len(labels) == 2
+            and all(map(_is_label_slot, labels))):
         return None
     with contextlib.suppress(OSError):
         os.utime(entry)
-    return data, row_labels, col_labels
+    return data, *labels
 
 
-def _stored_labels(names, size: int) -> Optional[tuple]:
-    """Labels read back from an entry: None, or ``size`` strings; else ValueError."""
-    if names is None:
-        return None
-    if not (isinstance(names, list) and len(names) == size
-            and all(isinstance(name, str) for name in names)):
-        raise ValueError("stored labels do not fit the stored table")
-    return tuple(names)
+def _is_label_slot(names) -> bool:
+    """Whether a label slot read back from an entry is None or a list of strings."""
+    return names is None or (isinstance(names, list)
+                             and all(isinstance(name, str) for name in names))
 
 
 def _write_entry(entry: Path, table) -> None:
@@ -401,7 +396,7 @@ def _write_entry(entry: Path, table) -> None:
     import json  # like hashlib, loaded only by cached reads
 
     data, row_labels, col_labels = table
-    labels = np.frombuffer(json.dumps([row_labels, col_labels]).encode(), np.uint8)
+    labels = json.dumps([row_labels, col_labels]).encode()
     temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     with contextlib.suppress(*_CACHE_FAULTS):
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -409,7 +404,7 @@ def _write_entry(entry: Path, table) -> None:
         try:
             with open(temp, "xb") as handle:
                 np.save(handle, data, allow_pickle=False)
-                np.save(handle, labels, allow_pickle=False)
+                handle.write(labels)  # an entry is a .npy table, then its labels' JSON
             os.replace(temp, entry)
         finally:
             temp.unlink(missing_ok=True)

@@ -2,13 +2,13 @@
 
 All floating-point output is rendered with 17 significant digits so that
 every CSV and JSON file round-trips to the exact binary value.  CSV goes
-through ``panel.write_csv``, re-exported here.  JSON is written by a small
-streaming writer of our own because the stdlib encoder offers no control
-over float formatting; a number reads as in CSV (``panel.fmt_number``),
-save NaN (undefined ratio entries) and +-inf, which map to null.  The
-writer hands the file one piece at a time and formats a list of floats
-(the embedded loadings and factor series) a chunk at a time, so a wide
-model never exists as one string in memory.
+through ``panel.write_csv``.  JSON is written by a small streaming writer
+of our own because the stdlib encoder offers no control over float
+formatting; a number reads as in CSV (``panel.fmt_number``), save NaN
+(undefined ratio entries) and +-inf, which map to null.  The writer hands
+the file one piece at a time, a list of floats (the embedded loadings and
+factor series) in one %-format, so the document never exists as one
+string in memory.
 Config files are read as UTF-8, with or without a byte-order mark.
 """
 
@@ -22,19 +22,14 @@ import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
-from .panel import fmt_float, fmt_number, format_floats, read_text, write_csv
+from .panel import fmt_number, format_floats, read_text
 
 __all__ = [
-    "fmt_float",
-    "write_csv",
     "dump_json",
     "model_to_dict",
     "acf_rows",
     "load_config",
 ]
-
-
-_FLOAT_CHUNK = 4096  # items per write when a JSON list holds only floats
 
 
 def _scalar(obj) -> str:
@@ -67,14 +62,12 @@ def _write_json(write, obj, pad: str) -> None:
     elif isinstance(obj, (list, tuple)):
         write("[\n" + inner)
         if set(map(type, obj)) == {float}:
-            # Loadings and factor series: one %-format and one write per chunk
-            # of floats, never the whole list as one string.  NaN and +-inf
-            # come out as nan, inf and -inf, the only items that can hold an "n".
-            for start in range(0, len(obj), _FLOAT_CHUNK):
-                piece = format_floats(obj[start:start + _FLOAT_CHUNK], sep)
-                if "n" in piece:
-                    piece = sep.join("null" if "n" in item else item for item in piece.split(sep))
-                write((sep if start else "") + piece)
+            # Loadings and factor series: one %-format and one write.  NaN and
+            # +-inf come out as nan, inf and -inf, the only items that can hold an "n".
+            text = format_floats(obj, sep)
+            if "n" in text:
+                text = sep.join("null" if "n" in item else item for item in text.split(sep))
+            write(text)
         else:
             for k, item in enumerate(obj):
                 if k:
@@ -165,7 +158,7 @@ def load_config(path) -> dict:
     if stripped.startswith("{"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ParseError(f"invalid JSON in {path}: {exc}") from None
     config: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -32,6 +32,27 @@ def test_the_package_exports_each_public_name_once_from_its_defining_module():
             assert obj.__module__ == module.__name__, name
 
 
+def _assigns_all(path) -> bool:
+    """Whether the module at ``path`` assigns ``__all__`` at its top level."""
+    return any(isinstance(node, ast.Assign) and any(isinstance(target, ast.Name)
+                                                    and target.id == "__all__"
+                                                    for target in node.targets)
+               for node in ast.parse(path.read_text()).body)
+
+
+def test_every_module_all_lists_only_what_the_module_defines():
+    # A module's __all__ names its own objects; a re-export gives one name two homes.
+    package = Path(hdfactor.__file__).parent
+    modules = [importlib.import_module(f"hdfactor.{path.stem}")
+               for path in sorted(package.glob("*.py")) if _assigns_all(path)]
+    assert {module.__name__ for module in modules} >= {
+        "hdfactor.diagnostics", "hdfactor.errors", "hdfactor.estimation", "hdfactor.panel",
+        "hdfactor.serialize", "hdfactor.simulation"}
+    borrowed = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+                if getattr(module, name).__module__ != module.__name__]
+    assert borrowed == []
+
+
 def test_every_attribute_the_benchmark_wraps_exists_and_is_restored(monkeypatch):
     # bench/spans.py replaces module attributes by recording wrappers; a
     # refactor that drops one would otherwise fail only in the benchmark.

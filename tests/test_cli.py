@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -275,6 +276,27 @@ def test_every_third_party_import_is_a_declared_dependency():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported
     assert imported - set(sys.stdlib_module_names) <= declared
+
+
+def test_the_version_is_stated_once():
+    # pyproject.toml reads the version from the package, which states it.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(hdfactor.__file__).resolve().parent
+    with open(root.parent.parent / "pyproject.toml", "rb") as handle:
+        config = tomllib.load(handle)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hdfactor.__version__"}
+
+
+def test_every_option_has_help():
+    parser = cli.build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    silent = [(name, action.option_strings or action.dest)
+              for name, sub in commands.choices.items()
+              for action in sub._actions if action.dest != "help" and not action.help]
+    assert silent == []
 
 
 def test_diagnose_outputs(tmp_path):
@@ -596,6 +618,18 @@ def test_simulate_table1_without_grid_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "scenario file is missing keys: n_grid" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_scenario_file_nested_too_deeply_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"study": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"hdfactor: error: invalid JSON in {re.escape(str(cfg))}: .*\n",
+                        captured.err)
+    assert not out.exists()
 
 
 def test_simulate_non_numeric_scenario_value_exits_2(tmp_path):

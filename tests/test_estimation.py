@@ -209,6 +209,13 @@ def test_ratio_estimate_default_span():
     assert np.array_equal(ratios, ratio_estimate(lam, 2)[1])
 
 
+@pytest.mark.parametrize("eigenvalues", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0],
+                                         [1.0, 0.5, np.nan]])
+def test_ratio_estimate_rejects_a_non_finite_spectrum(eigenvalues):
+    with pytest.raises(DomainError, match="spectrum has a non-finite eigenvalue"):
+        ratio_estimate(eigenvalues, 1)
+
+
 def test_ratio_estimate_excludes_numerically_zero_eigenvalues():
     r_hat, ratios = ratio_estimate([4.0, 2.0, 1e-20, 1e-26], 3)
     assert r_hat == 2

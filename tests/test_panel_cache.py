@@ -5,6 +5,7 @@ at the test's own directory.  A hit is told from a miss by making the CSV
 parsers fail: a fit that still succeeds read its table from the cache.
 """
 
+import io
 import json
 import os
 import tracemalloc
@@ -111,16 +112,16 @@ def _truncated(entry):
 
 
 def _stored(entry):
-    """The table and labels an entry holds."""
+    """The table and labels an entry holds: a .npy array, then JSON text."""
     with open(entry, "rb") as handle:
-        return np.load(handle), json.loads(np.load(handle).tobytes())
+        return np.load(handle), json.loads(handle.read())
 
 
 def _rewritten(entry, data, labels):
     """The bytes of a well-formed entry holding ``data`` and ``labels``, written at ``entry``."""
     with open(entry, "wb") as handle:
         np.save(handle, data)
-        np.save(handle, np.frombuffer(json.dumps(labels).encode(), np.uint8))
+        handle.write(json.dumps(labels).encode())
     return entry.read_bytes()
 
 
@@ -141,6 +142,13 @@ def _one_cell(entry):
     return _rewritten(entry, _stored(entry)[0][:1, :1], [None, None])
 
 
+def _deep_labels(entry):
+    # A well-formed table whose label text nests past the recursion limit.
+    table = io.BytesIO()
+    np.save(table, _stored(entry)[0])
+    return table.getvalue() + b"[" * 100_000 + b"]" * 100_000
+
+
 CORRUPTIONS = {
     "empty": lambda entry: b"",
     "truncated": _truncated,
@@ -151,6 +159,7 @@ CORRUPTIONS = {
     "wrong-labels": _wrong_labels,
     "non-finite": _non_finite,
     "one-cell": _one_cell,
+    "deep-labels": _deep_labels,
 }
 
 

@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 
 from hdfactor import Panel, ParseError, cross_acf, estimate, generate, two_step_estimate
-from hdfactor.serialize import (
-    _FLOAT_CHUNK,
-    acf_rows,
-    dump_json,
-    fmt_float,
-    load_config,
-    model_to_dict,
-    write_csv,
-)
+from hdfactor.panel import fmt_float, write_csv
+from hdfactor.serialize import acf_rows, dump_json, load_config, model_to_dict
 from helpers import table1_scenario
 
 
@@ -146,8 +139,7 @@ def test_dump_json_bytes_are_pinned(tmp_path):
     assert path.read_bytes() == PINNED_TEXT.encode("ascii")
 
 
-@pytest.mark.parametrize("length", [_FLOAT_CHUNK - 1, _FLOAT_CHUNK, _FLOAT_CHUNK + 1,
-                                    2 * _FLOAT_CHUNK + 5])
+@pytest.mark.parametrize("length", [4095, 4096, 4097, 8197])
 def test_dump_json_chunked_float_list_matches_one_piece(tmp_path, length):
     rng = np.random.default_rng(length)
     values = (rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)).tolist()
