@@ -48,6 +48,9 @@ def _diagnostics_names() -> dict:
 
 
 def _simulation_names() -> dict:
+    # Here rather than at the top: dataclasses imports inspect, which a fit never needs.
+    from dataclasses import asdict, astuple
+
     from .simulation import (
         GENERATOR_ID,
         Scenario,
@@ -230,7 +233,7 @@ def cmd_diagnose(args) -> int:
     factor_acf = cross_acf(model.factors, args.max_lag,
                            series_ids=[f"factor{i + 1}" for i in range(model.r_hat)])
     shares = variance_explained(model)
-    extras = {"variance_explained": [float(v) for v in shares]}
+    extras = {"variance_explained": shares}
     if args.directions:
         residual_acf = residual_projection_acf(model, args.directions, args.max_lag)
     if args.project:
@@ -367,7 +370,7 @@ def cmd_simulate(args) -> int:
             {
                 "delta": delta, "n": n, "p": p, "p_rule": rule,
                 "freq_correct": res.freq_correct,
-                "r_hat_counts": {str(k): v for k, v in res.r_hat_counts.items()},
+                "r_hat_counts": res.r_hat_counts,
             }
             for delta, n, p, rule, res in cells
         ]
@@ -384,16 +387,14 @@ def cmd_simulate(args) -> int:
                                    p_coef=grid.get("p_coef"))
         out = _out_dir(args)
         _write_long_csv(out / "traces.csv", scenario_id, result, result.traces)
-        doc["median_ratios"] = {
-            str(n): [float(v) for v in result.median_ratios[n]] for n in result.n_grid
-        }
+        doc["median_ratios"] = result.median_ratios
         for n in result.n_grid:
             med = result.median_ratios[n]
             print(f"n={n} p={result.p_of_n[n]}: median ratio argmin = {int(np.nanargmin(med)) + 1}")
     elif study == "two-step":
         result = two_step_study(_scenario_from_config(config, seed), reps)
         out = _out_dir(args)
-        doc["one_step_counts"] = {str(k): v for k, v in result.one_step_counts.items()}
+        doc["one_step_counts"] = result.one_step_counts
         doc["pair_counts"] = {f"{r1}+{r2}": v for (r1, r2), v in result.pair_counts.items()}
         doc["freq_one_step"] = result.freq_one
         doc["freq_two_step"] = result.freq_two
@@ -425,12 +426,8 @@ def cmd_rates(args) -> int:
 
     out = _out_dir(args)
     _write_long_csv(out / "errors.csv", doc["id"], study, study.errors, study.tracked_j)
-    write_csv(out / "slopes.csv", ["j", "slope", "ci_low", "ci_high"],
-              [(fit.j, fit.slope, fit.ci_low, fit.ci_high) for fit in slopes])
-    doc["slopes"] = [
-        {"j": fit.j, "slope": fit.slope, "ci_low": fit.ci_low, "ci_high": fit.ci_high}
-        for fit in slopes
-    ]
+    write_csv(out / "slopes.csv", ["j", "slope", "ci_low", "ci_high"], map(astuple, slopes))
+    doc["slopes"] = [asdict(fit) for fit in slopes]
     dump_json(out / "result.json", doc)
     for fit in slopes:
         print(f"eigenvalue {fit.j}: slope={fit.slope:.3f} ci=[{fit.ci_low:.3f}, {fit.ci_high:.3f}]")

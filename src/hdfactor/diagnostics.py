@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, _integer_in
+from .errors import DimensionError, DomainError, _distinct, _integer_in
 from .estimation import RATIO_FLOOR, FactorModel, _lag_covs, _unit_scale
 
 __all__ = [
@@ -108,10 +108,9 @@ def residual_projection_acf(model: FactorModel, directions: Sequence[int],
     at any scale; the autocorrelations do not depend on it.
     """
     computed = model.eigenvectors.shape[1]
-    directions = [_integer_in("direction", d, 1) for d in directions]
-    for i, d in enumerate(directions):
-        if d in directions[:i]:
-            raise DomainError(f"directions repeat direction {d}")
+    directions = _distinct((_integer_in("direction", d, 1) for d in directions),
+                           "directions repeat direction {}")
+    for d in directions:
         if d <= model.r_hat:
             raise DomainError(
                 f"direction {d} is a factor direction (r_hat = {model.r_hat}), not a residual one"

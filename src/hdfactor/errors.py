@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule for integer inputs."""
+"""Exception types shared across the package, and its rules for integer inputs and repeats."""
 
 import math
 import numbers
@@ -35,3 +35,15 @@ def _integer_in(label: str, value, low: int, high=None, bound: str = "") -> int:
         span = f"[{low}, inf)" if high is None else f"[{low}, {bound}] = [{low}, {high}]"
         raise DomainError(f"{label} must be an integer in {span}, got {value!r}")
     return int(value)
+
+
+def _distinct(values, message: str) -> tuple:
+    """``tuple(values)``, or a DomainError of ``message`` formatted with a repeated value.
+
+    The value is the first, in first-occurrence order, that occurs twice: [5, 1, 1, 5] names 5.
+    """
+    values = tuple(values)
+    for value in dict.fromkeys(values):
+        if values.count(value) > 1:
+            raise DomainError(message.format(value))
+    return values

@@ -38,7 +38,7 @@ from typing import Callable, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import _openblas
-from .errors import DimensionError, DomainError, HDFactorError, _integer_in
+from .errors import DimensionError, DomainError, HDFactorError, _distinct, _integer_in
 from .estimation import (
     default_ratio_span,
     m_eigenvalues,
@@ -129,18 +129,18 @@ class SimulationTruth:
 
 @dataclass(frozen=True)
 class McResult:
-    """Replication summary: factor-count histogram and hit frequency."""
+    """Replication summary: the factor-count histogram, its total and its hit frequency."""
 
     scenario: Scenario
-    reps: int
     r_hat_counts: dict
-    freq_correct: float
 
-    def __post_init__(self):
-        if sum(self.r_hat_counts.values()) != self.reps:
-            raise DomainError("histogram counts must sum to the replication count")
-        if not 0.0 <= self.freq_correct <= 1.0:
-            raise DomainError("frequency must lie in [0, 1]")
+    @property
+    def reps(self) -> int:
+        return sum(self.r_hat_counts.values())
+
+    @property
+    def freq_correct(self) -> float:
+        return self.r_hat_counts.get(self.scenario.r, 0) / self.reps
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def worker_count() -> int:
             value = int(env)
         except ValueError:
             raise DomainError(f"HDFACTOR_THREADS must be an integer, got {env!r}") from None
-        return max(1, value)
+        return _integer_in("HDFACTOR_THREADS", value, 1)
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
@@ -296,7 +296,8 @@ def _replicate(cells: list, reps: int, workers: Optional[int], measure: Callable
         return measure(scn, panel)
 
     jobs = list(itertools.product(cells, range(reps)))
-    workers = min(len(jobs), worker_count() if workers is None else max(1, int(workers)))
+    workers = worker_count() if workers is None else _integer_in("workers", workers, 1)
+    workers = min(len(jobs), workers)
     if workers == 1 or not hasattr(os, "fork"):
         results = [run(job) for job in jobs]
     else:
@@ -445,26 +446,21 @@ def _check_ratio_dims(dims) -> None:
         raise DomainError(f"ratio estimation needs p >= 2, got p = {small[0]}")
 
 
+def _sample_sizes(n_grid: Sequence[int]) -> tuple:
+    """``n_grid`` as a tuple of integers of at least ``MIN_N``; a repeat would run twice."""
+    return _distinct((_integer_in("n", n, MIN_N) for n in n_grid), "n_grid repeats n = {}")
+
+
 def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float]):
-    """The cells of ``scenario`` at each sample size of ``n_grid``.
+    """The cells of ``scenario`` at each sample size of ``n_grid`` (``_sample_sizes``).
 
     p is the scenario's own, or ``round(p_coef * n)`` when ``p_coef`` is
-    given.  A repeated n is a DomainError, since it would run and count
-    that n twice.  Returns ``(n_grid, p_of_n, cells)``, the cells in
+    given.  Returns ``(n_grid, p_of_n, cells)``, the cells in
     ``_replicate``'s form.
     """
-    n_grid = tuple(_integer_in("n", n, MIN_N) for n in n_grid)
-    repeated = [n for n, count in Counter(n_grid).items() if count > 1]
-    if repeated:
-        raise DomainError(f"n_grid repeats n = {repeated[0]}")
+    n_grid = _sample_sizes(n_grid)
     p_of_n = {n: scenario.p if p_coef is None else _scaled_p(p_coef, n) for n in n_grid}
     return n_grid, p_of_n, [(replace(scenario, n=n, p=p), (n, p)) for n, p in p_of_n.items()]
-
-
-def _count_result(scenario: Scenario, r_hats: Sequence[int]) -> McResult:
-    counts = Counter(int(r_hat) for r_hat in r_hats)
-    return McResult(scenario=scenario, reps=len(r_hats), r_hat_counts=dict(sorted(counts.items())),
-                    freq_correct=counts[scenario.r] / len(r_hats))
 
 
 @_openblas.single_thread_blas
@@ -486,20 +482,23 @@ def run_table1(
     Each cell runs ``reps`` independent replications of generate-and-count
     with dimension ``p = round(rule * n)``; a cell's replication seeds are
     derived from the base seed and the cell coordinates, so any subset of
-    cells can be recomputed in isolation.
+    cells can be recomputed in isolation.  A repeated delta, n or rule is
+    a DomainError, since it would run its cells twice.
 
     Returns a list of ``(delta, n, p, p_rule, McResult)`` tuples in grid
     order.
     """
-    r, n_grid = _integer_in("r", r, 1), [_integer_in("n", n, MIN_N) for n in n_grid]
-    grid = [(float(delta), n, _scaled_p(rule, n), float(rule))
+    r, n_grid = _integer_in("r", r, 1), _sample_sizes(n_grid)
+    deltas = _distinct(map(float, deltas), "deltas repeats delta = {}")
+    p_rules = _distinct(map(float, p_rules), "p_rules repeats rule = {}")
+    grid = [(delta, n, _scaled_p(rule, n), rule)
             for delta, n, rule in itertools.product(deltas, n_grid, p_rules)]
     _check_ratio_dims(p for _, _, p, _ in grid)
     cells = [(Scenario(n=n, p=p, r=r, deltas=(delta,) * r, ar_coeffs=ar_coeffs,
                        noise_var=noise_var, k0=k0, seed=base_seed), (_delta_code(delta), n, p))
              for delta, n, p, _ in grid]
     r_hats_by_cell = _replicate(cells, reps, workers, _ratio_count)
-    return [(*coords, _count_result(cell, r_hats))
+    return [(*coords, McResult(cell, dict(sorted(Counter(map(int, r_hats)).items()))))
             for coords, (cell, _), r_hats in zip(grid, cells, r_hats_by_cell)]
 
 
@@ -525,7 +524,8 @@ def eigen_error_study(
         raise DomainError(
             "eigen-error study needs the all-ones loading scheme so the population spectrum is exact"
         )
-    tracked_j = tuple(_integer_in("tracked index", j, 1) for j in tracked_j)
+    tracked_j = _distinct((_integer_in("tracked index", j, 1) for j in tracked_j),
+                          "tracked_j repeats j = {}")
     if not tracked_j:
         raise DomainError("need at least one tracked eigenvalue")
     tracked = [j - 1 for j in tracked_j]

@@ -1,11 +1,14 @@
 """The package's public surface, and the attributes the benchmark's tracer wraps."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hdfactor
 from hdfactor import cli, diagnostics, errors, estimation, panel, simulation
@@ -53,14 +56,21 @@ def test_every_module_all_lists_only_what_the_module_defines():
     assert borrowed == []
 
 
+def _bench_module(monkeypatch, name):
+    """``bench/<name>.py``, loaded as ``bench_<name>`` with ``bench/`` on sys.path for its imports."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_attribute_the_benchmark_wraps_exists_and_is_restored(monkeypatch):
     # bench/spans.py replaces module attributes by recording wrappers; a
     # refactor that drops one would otherwise fail only in the benchmark.
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
-    spec.loader.exec_module(spans)
+    spans = _bench_module(monkeypatch, "spans")
 
     modules = (cli, estimation, simulation)
     # The cli binds its library names on first read; read one now, so the
@@ -78,6 +88,21 @@ def test_every_attribute_the_benchmark_wraps_exists_and_is_restored(monkeypatch)
     for module, old in zip(modules, before):
         assert vars(module).keys() == old.keys()
         assert all(vars(module)[name] is value for name, value in old.items())
+
+
+def test_every_study_result_field_the_benchmark_reads_exists(monkeypatch):
+    # bench/run.py counts hits from McResult's and TwoStepStudy's fields and
+    # compares results with ==; a refactor that moves one would otherwise
+    # fail only in the benchmark.
+    run = _bench_module(monkeypatch, "run")
+    cells = simulation.run_table1([0.0], [40], [0.5], 2, 1, workers=1)
+    hits = sum(res.r_hat_counts.get(3, 0) for *_, res in cells)
+    assert run.McTable1.hits(cells) == (hits, 2)
+    assert run.check_study(cells, simulation.run_table1([0.0], [40], [0.5], 2, 1)) == []
+    scenario = simulation.Scenario(n=40, p=20, seed=2, **run.MIXED_DESIGN)
+    result = simulation.two_step_study(scenario, 2, workers=1)
+    assert run.McTwoStep.hits(result) == (round(result.freq_two * 2), 2)
+    assert run.check_study(dataclasses.replace(result, freq_two=result.freq_two + 0.5), result)
 
 
 _FRESH_START = """
@@ -148,6 +173,13 @@ def _integer_checks(tree):
               and node.func.attr == "is_integer"):
             lines.append(node.lineno)
     return sorted(lines)
+
+
+@pytest.mark.parametrize("values, first", [([5, 1, 1, 5], 5), ([1, 5, 5], 5), ([2.0, 2], 2.0)])
+def test_distinct_names_the_first_repeated_value_in_first_occurrence_order(values, first):
+    assert errors._distinct(iter([3, 1, 2]), "{} twice") == (3, 1, 2)
+    with pytest.raises(errors.DomainError, match=f"^{first} twice$"):
+        errors._distinct(values, "{} twice")
 
 
 def test_only_errors_py_states_the_integer_rule():

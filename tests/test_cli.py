@@ -76,6 +76,16 @@ def test_estimate_parse_error_exits_2(tmp_path):
     assert "row 2" in proc.stderr
 
 
+def test_estimate_on_a_label_column_alone_exits_2(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("a\nb\nc\n")
+    out = tmp_path / "out"
+    proc = run_cli("estimate", path, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr == f"hdfactor: error: no data columns in {path}\n"
+    assert not out.exists()
+
+
 def test_estimate_domain_error_exits_1(tmp_path):
     path, _ = write_panel_csv(tmp_path, n=20, p=4)
     proc = run_cli("estimate", path, "--k0", 50, "--out", tmp_path)
@@ -717,17 +727,26 @@ def test_an_empty_grid_exits_1_and_leaves_no_output(tmp_path, name):
 
 
 
-@pytest.mark.parametrize("command, config", [
-    ("rates", {"n": 100, "p": 10, "n_grid": [60, 80, 60, 100]}),
-    ("simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "n_grid": [80, 60, 80]}),
-], ids=["rates", "ratio-trace"])
-def test_a_repeated_n_exits_1_and_leaves_no_output(tmp_path, command, config):
+@pytest.mark.parametrize("command, config, message", [
+    ("rates", {"n": 100, "p": 10, "n_grid": [60, 80, 60, 100]}, "n_grid repeats n = 60"),
+    ("simulate", {"study": "ratio-trace", "n": 60, "p": 10, "r": 1, "n_grid": [80, 60, 80]},
+     "n_grid repeats n = 80"),
+    ("simulate", {"study": "table1", "n_grid": [60, 60], "p_rules": [0.2]},
+     "n_grid repeats n = 60"),
+    ("simulate", {"study": "table1", "deltas": [0.0, 0], "n_grid": [60], "p_rules": [0.2]},
+     "deltas repeats delta = 0.0"),
+    ("simulate", {"study": "table1", "n_grid": [60], "p_rules": [0.2, 0.5, 0.2]},
+     "p_rules repeats rule = 0.2"),
+    ("rates", {"n": 100, "p": 10, "n_grid": [60, 80, 100], "tracked_j": [1, 1]},
+     "tracked_j repeats j = 1"),
+], ids=["rates", "ratio-trace", "table1", "table1-deltas", "table1-p-rules", "rates-tracked-j"])
+def test_a_repeated_n_exits_1_and_leaves_no_output(tmp_path, command, config, message):
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     proc = run_cli(command, "--scenario", cfg, "--reps", 2, "--out", out)
     assert proc.returncode == 1
-    assert proc.stderr == f"hdfactor: error: n_grid repeats n = {config['n_grid'][0]}\n"
+    assert proc.stderr == f"hdfactor: error: {message}\n"
     assert proc.stdout == ""
     assert not out.exists()
 
@@ -753,6 +772,20 @@ def test_a_non_integer_thread_count_exits_1_and_leaves_no_output(tmp_path):
                    env_extra={"HDFACTOR_THREADS": "x"})
     assert proc.returncode == 1
     assert proc.stderr == "hdfactor: error: HDFACTOR_THREADS must be an integer, got 'x'\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_a_thread_count_below_1_exits_1_and_leaves_no_output(tmp_path, threads):
+    cfg = tmp_path / "case.json"
+    cfg.write_text('{"study": "two-step", "n": 40, "p": 8, "r": 1}')
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--scenario", cfg, "--reps", 1, "--out", out,
+                   env_extra={"HDFACTOR_THREADS": threads})
+    assert proc.returncode == 1
+    assert proc.stderr == ("hdfactor: error: HDFACTOR_THREADS must be an integer in [1, inf), "
+                           f"got {threads}\n")
     assert proc.stdout == ""
     assert not out.exists()
 

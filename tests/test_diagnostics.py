@@ -110,9 +110,11 @@ def test_residual_projection_rejects_factor_direction():
         residual_projection_acf(model, (21,), 10)
 
 
-@pytest.mark.parametrize("directions, repeated", [((4, 4), 4), ((5, 4, 6, 4), 4), ((4, 5, 5), 5)])
+@pytest.mark.parametrize("directions, repeated", [((4, 4), 4), ((5, 4, 6, 4), 4), ((4, 5, 5), 5),
+                                                   ((1, 5, 5), 5)])
 def test_residual_projection_rejects_a_repeated_direction(directions, repeated):
-    # A repeated direction would be reported, and written, once per copy.
+    # A repeated direction would be reported, and written, once per copy.  The
+    # repeat check comes first: (1, 5, 5) names the repeat, not factor direction 1.
     panel, _ = generate(table1_scenario(400, 20, seed=9))
     model = estimate(panel, k0=1)
     assert model.r_hat < 4

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -77,6 +78,12 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_empty_table(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(DimensionError):
+        load_csv(path)
+
+
+def test_load_csv_label_column_alone(tmp_path):
+    path = write(tmp_path, "a\nb\nc\n")
+    with pytest.raises(DimensionError, match=f"^no data columns in {re.escape(str(path))}$"):
         load_csv(path)
 
 

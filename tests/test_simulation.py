@@ -183,10 +183,13 @@ def test_scenario_validation():
                  loading_scheme="all-ones")
 
 
-def test_mc_result_validation():
-    scn = table1_scenario(50, 10, seed=0)
-    with pytest.raises(DomainError):
-        McResult(scenario=scn, reps=10, r_hat_counts={3: 4}, freq_correct=0.4)
+def test_mc_result_derives_reps_and_frequency_from_its_histogram():
+    scn = table1_scenario(50, 10, seed=0)  # r = 3
+    result = McResult(scenario=scn, r_hat_counts={2: 1, 3: 3})
+    assert (result.reps, result.freq_correct) == (4, 0.75)
+    missed = McResult(scenario=scn, r_hat_counts={1: 2, 4: 3})
+    assert (missed.reps, missed.freq_correct) == (5, 0.0)
+    assert result == McResult(scn, {2: 1, 3: 3}) != missed
 
 
 # ---------------------------------------------------------------- frequency grid
@@ -237,19 +240,33 @@ def test_an_empty_grid_raises_before_any_replication(monkeypatch, study):
 
 
 
-@pytest.mark.parametrize("study", [
-    lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [60, 80, 60], reps=3),
-    lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [80, 60, 80], reps=3, p_coef=0.25),
-    lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 60, 100], [1], reps=3),
-    lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 60], [1], reps=0, p_coef=0.5),
-], ids=["ratio-trace", "ratio-trace-p-coef", "eigen-error", "eigen-error-zero-reps"])
-def test_a_repeated_n_raises_before_any_replication(monkeypatch, study):
-    # A repeated n would run its replications twice and enter a slope fit twice.
+@pytest.mark.parametrize("study, message", [
+    (lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [60, 80, 60], reps=3),
+     "n_grid repeats n = 60"),
+    (lambda: ratio_trace_study(table1_scenario(60, 10, seed=1), [80, 60, 80], reps=3, p_coef=0.25),
+     "n_grid repeats n = 80"),
+    (lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 60, 100], [1], reps=3),
+     "n_grid repeats n = 60"),
+    (lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 60], [1], reps=0, p_coef=0.5),
+     "n_grid repeats n = 60"),
+    (lambda: run_table1([0.0], [60, 80, 60], [0.2], reps=3, base_seed=1),
+     "n_grid repeats n = 60"),
+    (lambda: run_table1([0.0, 0.5, 0.0], [60], [0.2], reps=3, base_seed=1),
+     "deltas repeats delta = 0.0"),
+    (lambda: run_table1([0.0], [60], [0.2, 0.2], reps=3, base_seed=1),
+     "p_rules repeats rule = 0.2"),
+    (lambda: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 100], [1, 2, 1], reps=3),
+     "tracked_j repeats j = 1"),
+], ids=["ratio-trace", "ratio-trace-p-coef", "eigen-error", "eigen-error-zero-reps", "table1",
+        "table1-deltas", "table1-p-rules", "eigen-error-tracked-j"])
+def test_a_repeated_n_raises_before_any_replication(monkeypatch, study, message):
+    # A repeated n, delta or rule would run its replications twice, and a
+    # repeated n or tracked j would enter a slope fit twice.
     def no_replications(*args):
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(simulation, "generate", no_replications)
-    with pytest.raises(DomainError, match=r"^n_grid repeats n = (60|80)$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         study()
 
 
@@ -265,6 +282,9 @@ _STUDY_INTEGERS = [
     ("table1-r", lambda v: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, r=v), "r",
      "[1, inf)"),
     ("table1-reps", lambda v: run_table1([0.0], [60], [0.2], reps=v, base_seed=1), "reps",
+     "[1, inf)"),
+    ("table1-workers",
+     lambda v: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, workers=v), "workers",
      "[1, inf)"),
     ("ratio-trace-n", lambda v: ratio_trace_study(table1_scenario(60, 10, seed=1), [v], reps=3),
      "n", "[4, inf)"),
@@ -301,13 +321,17 @@ _STUDY_INTEGERS = [
      "k0 must be an integer in [1, n-2] = [1, 58], got 1.5"),
     (lambda: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, k0=2.5),
      "k0 must be an integer in [1, n-2] = [1, 58], got 2.5"),
+    (lambda: run_table1([0.0], [60], [0.2], reps=3, base_seed=1, workers=0),
+     "workers must be an integer in [1, inf), got 0"),
+    (lambda: two_step_study(s1_scenario(60, 10, seed=1), reps=3, workers=-4),
+     "workers must be an integer in [1, inf), got -4"),
 ] + [
     (lambda call=call, value=value: call(value), integer_message(label, span, value))
     for _, call, label, span in _STUDY_INTEGERS for value in NON_INTEGERS.values()
 ], ids=["table1-nan-rule", "table1-overflowing-rule", "ratio-trace-nan-p-coef",
         "eigen-error-infinite-p-coef", "table1-negative-seed", "negative-seed",
         "table1-p-of-1", "ratio-trace-p-of-1", "two-step-p-of-1", "scenario-fractional-k0",
-        "table1-fractional-k0"]
+        "table1-fractional-k0", "table1-zero-workers", "two-step-negative-workers"]
     + [f"{name}-{kind}" for name, _, _, _ in _STUDY_INTEGERS for kind in NON_INTEGERS])
 def test_a_bad_study_input_raises_before_any_replication(monkeypatch, study, message):
     def no_replications(*args):
