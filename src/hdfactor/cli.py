@@ -9,6 +9,15 @@ consume.  Exit codes separate failure classes so scripts can branch:
 Every command runs with numpy's OpenBLAS held at one thread, as the
 Monte Carlo studies already are, so the bytes a command writes do not
 depend on ``OPENBLAS_NUM_THREADS`` or the core count.
+
+A ``hdfactor`` or ``python -m hdfactor`` process enters through ``run``.
+It sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, so OpenBLAS starts
+no thread pool and a user's own setting does not apply (it never changed
+an output byte).  Once ``main`` returns, ``run`` flushes stdout and
+stderr and leaves through ``os._exit``, skipping the interpreter's
+teardown of numpy.  ``main`` itself, as library code and tests call it,
+does neither: this module imports no numpy at its top level, so the
+setting can come first.
 """
 
 from __future__ import annotations
@@ -16,12 +25,15 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
-from .errors import DimensionError, DomainError, HDFactorError, ParseError, _integer_in
+from .errors import (DimensionError, DomainError, HDFactorError, ParseError, _integer_in,
+                     _real_number)
 
 
 def _fit_names() -> dict:
@@ -294,10 +306,10 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """``float(value)``, refusing a bool."""
-    if isinstance(value, bool):
-        raise ValueError(value)
-    return float(value)
+    """``value`` under the library's real-number rule, with a str read by ``float()`` first."""
+    if isinstance(value, str):
+        value = float(value)
+    return _real_number("scenario value", value)
 
 
 _ints, _floats = _many(_integer), _many(_real)
@@ -452,5 +464,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry: ``main`` on ``sys.argv``, then exit with its code.
+
+    A flush that raises, such as on a closed stdout pipe, falls back to
+    ``sys.exit``, so the interpreter reports it as it would without ``run``.
+    """
+    # Every command holds OpenBLAS at one thread; starting it there spares its idle pool.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its rules for integer inputs and repeats."""
+"""Exception types shared across the package, and its rules for numeric inputs and repeats."""
 
 import math
 import numbers
@@ -35,6 +35,17 @@ def _integer_in(label: str, value, low: int, high=None, bound: str = "") -> int:
         span = f"[{low}, inf)" if high is None else f"[{low}, {bound}] = [{low}, {high}]"
         raise DomainError(f"{label} must be an integer in {span}, got {value!r}")
     return int(value)
+
+
+def _real_number(label: str, value) -> float:
+    """``float(value)``, or a DomainError unless ``value`` is a real number.
+
+    ints, floats and numpy's numbers are real, NaN and inf included; bools
+    (numpy's too) and strings are not.  Each caller checks its own range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
+        raise DomainError(f"{label} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _distinct(values, message: str) -> tuple:

@@ -38,7 +38,8 @@ from typing import Callable, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import _openblas
-from .errors import DimensionError, DomainError, HDFactorError, _distinct, _integer_in
+from .errors import (DimensionError, DomainError, HDFactorError, _distinct, _integer_in,
+                     _real_number)
 from .estimation import (
     default_ratio_span,
     m_eigenvalues,
@@ -83,7 +84,9 @@ class Scenario:
     series; larger deltas thin the loading out.
     The factor process is a diagonal VAR(1) with unit-variance Gaussian
     innovations, and the noise is i.i.d. Gaussian.  The integer fields (n,
-    p, r, k0, seed) refuse 2.5, True or "3" and are stored as ``int``.
+    p, r, k0, seed) refuse 2.5, True or "3" and are stored as ``int``; the
+    real ones (deltas, ar_coeffs, noise_var) refuse True or "0.5" and are
+    stored as ``float``.
     """
 
     n: int
@@ -102,8 +105,10 @@ class Scenario:
         object.__setattr__(self, "r", _integer_in("r", self.r, 1, self.p, "p"))
         object.__setattr__(self, "k0", _integer_in("k0", self.k0, 1, self.n - 2, "n-2"))
         object.__setattr__(self, "seed", _integer_in("seed", self.seed, 0))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        object.__setattr__(self, "ar_coeffs", tuple(float(a) for a in self.ar_coeffs))
+        object.__setattr__(self, "deltas", tuple(_real_number("delta", d) for d in self.deltas))
+        object.__setattr__(self, "ar_coeffs",
+                           tuple(_real_number("AR coefficient", a) for a in self.ar_coeffs))
+        object.__setattr__(self, "noise_var", _real_number("noise_var", self.noise_var))
         if len(self.deltas) != self.r or len(self.ar_coeffs) != self.r:
             raise DimensionError("deltas and ar_coeffs must have one entry per factor")
         if any(not 0 <= d <= 1 for d in self.deltas):
@@ -455,10 +460,12 @@ def _size_grid(scenario: Scenario, n_grid: Sequence[int], p_coef: Optional[float
     """The cells of ``scenario`` at each sample size of ``n_grid`` (``_sample_sizes``).
 
     p is the scenario's own, or ``round(p_coef * n)`` when ``p_coef`` is
-    given.  Returns ``(n_grid, p_of_n, cells)``, the cells in
-    ``_replicate``'s form.
+    given (a real number).  Returns ``(n_grid, p_of_n, cells)``, the cells
+    in ``_replicate``'s form.
     """
     n_grid = _sample_sizes(n_grid)
+    if p_coef is not None:
+        p_coef = _real_number("p_coef", p_coef)
     p_of_n = {n: scenario.p if p_coef is None else _scaled_p(p_coef, n) for n in n_grid}
     return n_grid, p_of_n, [(replace(scenario, n=n, p=p), (n, p)) for n, p in p_of_n.items()]
 
@@ -489,8 +496,9 @@ def run_table1(
     order.
     """
     r, n_grid = _integer_in("r", r, 1), _sample_sizes(n_grid)
-    deltas = _distinct(map(float, deltas), "deltas repeats delta = {}")
-    p_rules = _distinct(map(float, p_rules), "p_rules repeats rule = {}")
+    deltas = _distinct((_real_number("delta", d) for d in deltas), "deltas repeats delta = {}")
+    p_rules = _distinct((_real_number("p_rule", rule) for rule in p_rules),
+                        "p_rules repeats rule = {}")
     grid = [(delta, n, _scaled_p(rule, n), rule)
             for delta, n, rule in itertools.product(deltas, n_grid, p_rules)]
     _check_ratio_dims(p for _, _, p, _ in grid)

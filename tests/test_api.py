@@ -216,8 +216,11 @@ def _open_mode(call):
     return modes[0] if modes else ast.Constant("r")
 
 
-def _text_writers(tree):
-    """Names of the functions that open a file to write text; a mode that is no constant counts."""
+def _functions_with(tree, matches):
+    """Names of the innermost functions holding a node that ``matches``, once per node.
+
+    None stands for the module level.
+    """
     found = []
 
     def visit(node, function):
@@ -225,10 +228,7 @@ def _text_writers(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            mode = _open_mode(child) if isinstance(child, ast.Call) else None
-            if mode is not None and not (
-                    isinstance(mode, ast.Constant) and isinstance(mode.value, str)
-                    and ("b" in mode.value or not set(mode.value) & set("wax+"))):
+            if matches(child):
                 found.append(function)
             visit(child, function)
 
@@ -236,12 +236,20 @@ def _text_writers(tree):
     return found
 
 
+def _writes_text(node) -> bool:
+    """Whether ``node`` opens a file to write text; a mode that is no constant counts."""
+    mode = _open_mode(node) if isinstance(node, ast.Call) else None
+    return mode is not None and not (
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        and ("b" in mode.value or not set(mode.value) & set("wax+")))
+
+
 def test_only_write_csv_and_dump_json_open_a_file_to_write_text():
     # panel.write_csv frames every CSV file and serialize.dump_json every JSON
     # file; a module opening its own text file would bring back a second
     # framing, with its own quoting, line ends and memory use.
     package = Path(hdfactor.__file__).parent
-    found = {path.name: _text_writers(ast.parse(path.read_text()))
+    found = {path.name: _functions_with(ast.parse(path.read_text()), _writes_text)
              for path in sorted(package.glob("*.py"))}
     assert {name: functions for name, functions in found.items() if functions} == {
         "panel.py": ["write_csv"], "serialize.py": ["dump_json"]}
@@ -250,4 +258,76 @@ def test_only_write_csv_and_dump_json_open_a_file_to_write_text():
              'os.fdopen(fd, "w")', 'Path(p).write_text("x")', 'open(p)', 'open(p, "rb")',
              'open(p, "xb")', 'os.fdopen(fd, "wb")', 'Path(p).open()']
     tree = ast.parse("\n".join(f"def f{k}():\n    {call}" for k, call in enumerate(calls)))
-    assert _text_writers(tree) == ["f0", "f1", "f2", "f3", "f4", "f5"]
+    assert _functions_with(tree, _writes_text) == ["f0", "f1", "f2", "f3", "f4", "f5"]
+
+
+def _exits_fast(node) -> bool:
+    """Whether ``node`` names ``_exit``, as ``os._exit`` or a bare ``_exit``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "_exit"
+            or isinstance(node, ast.Name) and node.id == "_exit")
+
+
+def test_only_the_study_worker_and_the_cli_entry_leave_through_os_exit():
+    # os._exit skips every flush and cleanup; only a forked study worker and
+    # the CLI process entry, which flushes stdout and stderr first, may use it.
+    package = Path(hdfactor.__file__).parent
+    found = {path.name: _functions_with(ast.parse(path.read_text()), _exits_fast)
+             for path in sorted(package.glob("*.py"))}
+    assert {name: functions for name, functions in found.items() if functions} == {
+        "cli.py": ["run"], "simulation.py": ["_worker"]}
+    # The guard sees each spelling it claims to.
+    tree = ast.parse("def f():\n    os._exit(0)\ndef g():\n    _exit(1)\nsys.exit(2)")
+    assert _functions_with(tree, _exits_fast) == ["f", "g"]
+
+
+def _imports_on_load(stem):
+    """Top-level modules that ``hdfactor/<stem>.py`` imports as it loads, its package's by stem.
+
+    An import inside a function runs later and does not count.  A relative
+    import names the package's ``__init__`` and, where it names one, a module.
+    """
+    package = Path(hdfactor.__file__).parent
+    tree = ast.parse((package / f"{stem}.py").read_text())
+    found = set()
+    for node in _nodes_on_load(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found.update(f"hdfactor.{name}" for name in ["__init__", *names]
+                         if (package / f"{name}.py").is_file())
+    return found
+
+
+def _nodes_on_load(node):
+    """The nodes under ``node`` that run when its module loads: none inside a function."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _nodes_on_load(child)
+
+
+def _loaded_with(stem):
+    """Every module that loading ``hdfactor/<stem>.py`` loads, by the package's imports."""
+    loaded, todo = set(), [f"hdfactor.{stem}"]
+    while todo:
+        module = todo.pop()
+        if module not in loaded:
+            loaded.add(module)
+            if module.startswith("hdfactor."):
+                todo.extend(_imports_on_load(module.removeprefix("hdfactor.")))
+    return loaded
+
+
+def test_the_cli_module_loads_no_numpy():
+    # cli.run sets OpenBLAS's thread count in the environment, which works
+    # only before numpy loads: so neither cli.py nor a module it imports at
+    # its top level may import numpy (the fresh --version run in
+    # test_cli.py sees the same from outside).
+    loaded = _loaded_with("cli")
+    assert "numpy" not in loaded
+    assert {"hdfactor.cli", "hdfactor.errors"} <= loaded
+    # The guard sees numpy behind a package import.
+    assert "numpy" in _loaded_with("_openblas") and "numpy" in _loaded_with("serialize")

@@ -299,6 +299,23 @@ def test_the_version_is_stated_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hdfactor.__version__"}
 
 
+def test_the_console_script_runs_the_entry_that_python_m_runs():
+    # `hdfactor` and `python -m hdfactor` both start through cli.run, so
+    # both start OpenBLAS at one thread and exit the same way.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(hdfactor.__file__).resolve().parent
+    with open(root.parent.parent / "pyproject.toml", "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["hdfactor"]
+    tree = ast.parse((root / "__main__.py").read_text())
+    bound = {alias.asname or alias.name: f"hdfactor.{node.module}:{alias.name}"
+             for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names}
+    called = [bound.get(node.value.func.id) for node in tree.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)]
+    assert called == [script] == ["hdfactor.cli:run"]
+
+
 def test_every_option_has_help():
     parser = cli.build_parser()
     [commands] = [action for action in parser._actions
@@ -971,6 +988,81 @@ def test_cli_commands_run_single_thread_blas_and_restore_the_count(tmp_path, mon
     finally:
         set_threads(original)
     assert seen == [1]
+
+
+_ENTRY_THREADS = """
+from hdfactor import cli
+
+
+def main():
+    from hdfactor import _openblas  # numpy loads here, after the entry's setting
+
+    print(_openblas.threads_api()[0]())
+    return 0
+
+
+cli.main = main
+cli.run()
+"""
+
+
+@pytest.mark.skipif(_openblas.threads_api() is None, reason="numpy's bundled OpenBLAS was not found")
+def test_a_cli_process_starts_openblas_at_one_thread():
+    # The user's setting does not reach OpenBLAS, so it starts no pool thread.
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_THREADS], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+class _UnflushableStream:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("flush_raises", [False, True], ids=["flushed", "flush-raises"])
+def test_the_entry_leaves_through_os_exit_only_after_a_clean_flush(monkeypatch, flush_raises):
+    exits = []
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # the entry sets it; this restores it
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(os, "_exit", exits.append)
+    if flush_raises:
+        monkeypatch.setattr(sys, "stdout", _UnflushableStream())
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert (info.value.code, exits) == (3, [])
+    else:
+        cli.run()
+        assert exits == [3]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_fit_on_a_closed_stdout_pipe_fails_as_it_did_without_the_entry(tmp_path, unbuffered):
+    # Unbuffered, the summary's print raises inside main, which exits 2.
+    # Buffered, the entry's flush raises, and the interpreter's own flush at
+    # exit reports the pipe and exits 120, as without the entry.
+    path, _ = write_panel_csv(tmp_path, n=60, p=8)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdfactor", "estimate", str(path), "--out", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    if unbuffered:
+        assert (proc.returncode, proc.stderr) == (2, "hdfactor: error: [Errno 32] Broken pipe\n")
+    else:
+        assert proc.returncode == 120, proc.stderr
+        assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "out" / "model.json").is_file()
 
 
 def test_fits_at_p_ten_times_n_search_half_the_rank(tmp_path):

@@ -342,6 +342,48 @@ def test_a_bad_study_input_raises_before_any_replication(monkeypatch, study, mes
         study()
 
 
+# Each real input of a scenario or a study, as (id, call on a value, label).
+_STUDY_REALS = [
+    ("scenario-deltas", lambda v: Scenario(**{**_SCENARIO_ARGS, "deltas": (v,)}), "delta"),
+    ("scenario-ar-coeffs", lambda v: Scenario(**{**_SCENARIO_ARGS, "ar_coeffs": (v,)}),
+     "AR coefficient"),
+    ("scenario-noise-var", lambda v: Scenario(**_SCENARIO_ARGS, noise_var=v), "noise_var"),
+    ("table1-deltas", lambda v: run_table1([v], [20], [1.0], 1, 1, r=1), "delta"),
+    ("table1-p-rules", lambda v: run_table1([0.0], [20], [v], 1, 1, r=1), "p_rule"),
+    ("table1-noise-var", lambda v: run_table1([0.0], [20], [1.0], 1, 1, r=1, noise_var=v),
+     "noise_var"),
+    ("ratio-trace-p-coef",
+     lambda v: ratio_trace_study(table1_scenario(60, 10, seed=1), [60], reps=3, p_coef=v),
+     "p_coef"),
+    ("eigen-error-p-coef",
+     lambda v: eigen_error_study(s1_scenario(60, 10, seed=1), [60, 80, 100], [1], reps=3,
+                                 p_coef=v),
+     "p_coef"),
+]
+NON_REALS = {"bool": True, "numpy-bool": np.True_, "string": "0.5"}
+
+
+@pytest.mark.parametrize("call, label, value", [
+    (call, label, value) for _, call, label in _STUDY_REALS for value in NON_REALS.values()
+], ids=[f"{name}-{kind}" for name, _, _ in _STUDY_REALS for kind in NON_REALS])
+def test_a_real_input_refuses_a_bool_or_a_string(monkeypatch, call, label, value):
+    # float() would read True as 1.0: table1's delta 1, p_rule 1 (p = n) or unit noise.
+    def no_replications(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulation, "generate", no_replications)
+    message = f"{label} must be a real number, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_scenario_stores_its_real_inputs_as_floats():
+    scn = Scenario(n=60, p=10, r=1, deltas=(np.int64(0),), ar_coeffs=(np.float32(0.5),),
+                   noise_var=2)
+    assert (scn.deltas, scn.ar_coeffs, scn.noise_var) == ((0.0,), (0.5,), 2.0)
+    assert {type(x) for x in (*scn.deltas, *scn.ar_coeffs, scn.noise_var)} == {float}
+
+
 # ---------------------------------------------------------------- error study
 
 def test_eigen_error_study_requires_deterministic_loadings():
