@@ -269,30 +269,6 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _require(config: dict, *keys) -> None:
-    missing = [key for key in keys if key not in config]
-    if missing:
-        raise ParseError(f"scenario file is missing keys: {', '.join(missing)}")
-
-
-def _given(config: dict, **kinds) -> dict:
-    """The keys of ``kinds`` that ``config`` sets, each converted by its kind.
-
-    A key the file leaves out is left out here too, so the library's own
-    default applies.  A value its kind rejects is a ParseError naming the key.
-    """
-    given = {}
-    for key, kind in kinds.items():
-        if key in config:
-            try:
-                given[key] = kind(config[key])
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(
-                    f"scenario key {key!r} has an invalid value: {config[key]!r}"
-                ) from None
-    return given
-
-
 def _many(kind):
     """Kind of a list of ``kind`` values, where a scalar is a one-item list."""
     return lambda value: [kind(v) for v in (value if isinstance(value, list) else [value])]
@@ -312,9 +288,6 @@ def _real(value) -> float:
     return _real_number("scenario value", value)
 
 
-_ints, _floats = _many(_integer), _many(_real)
-
-
 def _label(value) -> str:
     """``str(value)``, refusing a list or an object."""
     if isinstance(value, (list, dict)):
@@ -322,8 +295,38 @@ def _label(value) -> str:
     return str(value)
 
 
-def _optional_float(value):
-    return None if value is None else _real(value)
+# The kind that reads each scenario key.  A p_coef of null keeps p fixed.
+_KEYS = {
+    "study": str, "loading_scheme": str, "id": _label,
+    "reps": _integer, "seed": _integer, "n": _integer, "p": _integer, "r": _integer, "k0": _integer,
+    "n_grid": _many(_integer), "tracked_j": _many(_integer),
+    "noise_var": _real, "p_coef": lambda value: None if value is None else _real(value),
+    "deltas": _many(_real), "ar_coeffs": _many(_real), "p_rules": _many(_real),
+}
+
+
+def _given(config: dict, *keys, required=(), **fallbacks) -> dict:
+    """Each of ``keys`` that ``config`` or else ``fallbacks`` sets, read by its kind in ``_KEYS``.
+
+    Keys are read in the order given.  A key set by neither is left out,
+    so the library's own default applies.  A ``required`` key set by
+    neither is a ParseError naming every such key, raised before any key is
+    read; a value its kind rejects is a ParseError naming the key.
+    """
+    values = {**fallbacks, **config}
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ParseError(f"scenario file is missing keys: {', '.join(missing)}")
+    given = {}
+    for key in keys:
+        if key in values:
+            try:
+                given[key] = _KEYS[key](values[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(
+                    f"scenario key {key!r} has an invalid value: {values[key]!r}"
+                ) from None
+    return given
 
 
 def _study_file(args, study=None):
@@ -332,26 +335,27 @@ def _study_file(args, study=None):
     ``--reps`` and ``--seed`` win over the file's ``reps`` and ``seed``.
     """
     config = load_config(args.scenario)
-    study = str(config.get("study", "")).strip() if study is None else study
-    scenario_id = _given(config, id=_label).get("id", Path(args.scenario).stem)
-    reps = args.reps if args.reps is not None else _given(config, reps=_integer).get("reps", 200)
-    seed = args.seed if args.seed is not None else _given(config, seed=_integer).get("seed", 0)
-    head = {"id": scenario_id, "study": study, "reps": reps, "metadata": {
+    flags = {key: getattr(args, key) for key in ("reps", "seed") if getattr(args, key) is not None}
+    given = _given({**config, **flags}, "study", "id", "reps", "seed",
+                   study="", id=Path(args.scenario).stem, reps=200, seed=0)
+    study = given["study"].strip() if study is None else study
+    head = {"id": given["id"], "study": study, "reps": given["reps"], "metadata": {
         "generator": GENERATOR_ID,
         "package": f"hdfactor {__version__}",
-        "base_seed": int(seed),
+        "base_seed": given["seed"],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }}
-    return config, head, seed
+    return config, head, given["seed"]
 
 
-def _scenario_from_config(config: dict, seed) -> Scenario:
-    _require(config, "n", "p", "r")
-    given = _given(config, r=_integer, deltas=_floats, ar_coeffs=_floats, n=_integer,
-                   p=_integer, noise_var=_real, k0=_integer, loading_scheme=str)
-    for key, default in (("deltas", [0.0]), ("ar_coeffs", [0.5])):
-        values = given.get(key, default)
-        given[key] = tuple(values * given["r"] if len(values) == 1 else values)
+def _scenario_from_config(config: dict, seed, **fallbacks) -> Scenario:
+    given = _given(config, "r", "deltas", "ar_coeffs", "n", "p", "noise_var", "k0",
+                   "loading_scheme", required=("n", "p", "r"),
+                   deltas=[0.0], ar_coeffs=[0.5], **fallbacks)
+    for key in ("deltas", "ar_coeffs"):
+        values = given[key]
+        # One value serves every factor.  At most p copies: Scenario then refuses an r above p.
+        given[key] = tuple(values * min(given["r"], given["p"]) if len(values) == 1 else values)
     return Scenario(seed=int(seed), **given)
 
 
@@ -372,10 +376,8 @@ def cmd_simulate(args) -> int:
     study, scenario_id, reps = doc["study"], doc["id"], doc["reps"]
 
     if study == "table1":
-        _require(config, "n_grid", "p_rules")
-        grid = _given(config, deltas=_floats, n_grid=_ints, p_rules=_floats,
-                      r=_integer, ar_coeffs=_floats, noise_var=_real, k0=_integer)
-        grid.setdefault("deltas", [0.0])
+        grid = _given(config, "deltas", "n_grid", "p_rules", "r", "ar_coeffs", "noise_var", "k0",
+                      required=("n_grid", "p_rules"), deltas=[0.0])
         cells = run_table1(reps=reps, base_seed=seed, **grid)
         out = _out_dir(args)
         doc["cells"] = [
@@ -394,9 +396,8 @@ def cmd_simulate(args) -> int:
             print(f"delta={delta:g} n={n} p={p}: freq_correct={res.freq_correct:.3f}")
     elif study == "ratio-trace":
         scenario = _scenario_from_config(config, seed)
-        grid = _given(config, n_grid=_ints, p_coef=_optional_float)
-        result = ratio_trace_study(scenario, grid.get("n_grid", [scenario.n]), reps,
-                                   p_coef=grid.get("p_coef"))
+        grid = _given(config, "n_grid", "p_coef", n_grid=[scenario.n])
+        result = ratio_trace_study(scenario, reps=reps, **grid)
         out = _out_dir(args)
         _write_long_csv(out / "traces.csv", scenario_id, result, result.traces)
         doc["median_ratios"] = result.median_ratios
@@ -423,17 +424,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_rates(args) -> int:
     config, doc, seed = _study_file(args, "rates")
-    _require(config, "n_grid")
-    config.setdefault("loading_scheme", "all-ones")
-    config.setdefault("r", 1)
-    config.setdefault("p", 10)
-    scenario = _scenario_from_config(config, seed)
-    grid = _given(config, n_grid=_ints, tracked_j=_ints, p_coef=_optional_float)
-    n_grid = grid["n_grid"]
-    if n_grid:  # an empty grid is the study's own error: it has no cell to run
-        _check_slope_grid(n_grid)
-    study = eigen_error_study(scenario, n_grid, grid.get("tracked_j", [1, 2]), doc["reps"],
-                              p_coef=grid.get("p_coef"))
+    _given(config, required=("n_grid",))  # ahead of the scenario's required keys
+    scenario = _scenario_from_config(config, seed, loading_scheme="all-ones", r=1, p=10)
+    grid = _given(config, "n_grid", "tracked_j", "p_coef", tracked_j=[1, 2])
+    if grid["n_grid"]:  # an empty grid is the study's own error: it has no cell to run
+        _check_slope_grid(grid["n_grid"])
+    study = eigen_error_study(scenario, reps=doc["reps"], **grid)
     slopes = fit_error_slopes(study)
 
     out = _out_dir(args)

@@ -41,6 +41,13 @@ class AcfReport:
     band: float
 
 
+def _check_finite(x: np.ndarray, names) -> None:
+    """Refuse NaN or inf in 2-D ``x``, naming the first one's row (by ``names``) and time."""
+    if not np.isfinite(x).all():
+        i, t = np.argwhere(~np.isfinite(x))[0]
+        raise DomainError(f"{names[i]} contains a non-finite value at time {t + 1}")
+
+
 def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) -> AcfReport:
     """Sample cross-correlations at lags 0..max_lag for all ordered pairs.
 
@@ -53,7 +60,7 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
     Raises
     ------
     DomainError
-        If a series is constant (zero variance), naming it.
+        If a series holds NaN or inf, or is constant (zero variance), naming it.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
@@ -71,6 +78,7 @@ def cross_acf(series, max_lag: int, series_ids: Optional[Sequence[str]] = None) 
         if len(series_ids) != m:
             raise DimensionError(f"got {len(series_ids)} ids for {m} series")
 
+    _check_finite(x, [f"series {s!r}" for s in series_ids])
     x = _unit_scale(x)[0]
     spread = x.max(axis=1) - x.min(axis=1)
     for i, s in enumerate(spread):
@@ -156,9 +164,13 @@ def projection_residual_ratio(u, factors) -> float:
     ratio, a value in [0, 1]: zero means the series is a linear
     combination of the factor series, one means it is orthogonal to them.
     Neither input's scale matters, so each is first rescaled as fits are.
+    An input holding NaN or inf is a DomainError naming the series and time.
     """
-    u = _unit_scale(np.asarray(u, dtype=float).ravel())[0]
-    f = _unit_scale(np.atleast_2d(np.asarray(factors, dtype=float)))[0]
+    u = np.asarray(u, dtype=float).ravel()
+    f = np.atleast_2d(np.asarray(factors, dtype=float))
+    _check_finite(u[None, :], ["series"])
+    _check_finite(f, [f"factor series {i + 1}" for i in range(len(f))])
+    u, f = _unit_scale(u)[0], _unit_scale(f)[0]
     if f.shape[1] != u.size:
         raise DimensionError(
             f"series length {u.size} does not match factor length {f.shape[1]}"

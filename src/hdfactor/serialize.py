@@ -150,8 +150,8 @@ def load_config(path) -> dict:
     """Read a UTF-8 scenario/config file: JSON, or flat ``key = value`` lines.
 
     In the flat form, '#' starts a comment, and comma-separated values
-    become lists, save ``id``'s.  Scalars are coerced to bool, int or float
-    when they parse as such.
+    become lists.  Scalars are coerced to bool, int or float when they
+    parse as such.  ``id`` is neither split nor coerced: it is its text.
     """
     text = read_text(path)
     stripped = text.lstrip()
@@ -169,7 +169,9 @@ def load_config(path) -> dict:
             raise ParseError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if "," in value and key != "id":  # an id is one label, commas and all
+        if key == "id":  # an id is one label, as written: commas, digits and all
+            config[key] = value
+        elif "," in value:
             config[key] = [_coerce_scalar(v) for v in value.split(",")]
         else:
             config[key] = _coerce_scalar(value)

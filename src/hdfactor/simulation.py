@@ -502,7 +502,8 @@ def run_table1(
     grid = [(delta, n, _scaled_p(rule, n), rule)
             for delta, n, rule in itertools.product(deltas, n_grid, p_rules)]
     _check_ratio_dims(p for _, _, p, _ in grid)
-    cells = [(Scenario(n=n, p=p, r=r, deltas=(delta,) * r, ar_coeffs=ar_coeffs,
+    # At most p copies of delta: Scenario then refuses an r above p.
+    cells = [(Scenario(n=n, p=p, r=r, deltas=(delta,) * min(r, p), ar_coeffs=ar_coeffs,
                        noise_var=noise_var, k0=k0, seed=base_seed), (_delta_code(delta), n, p))
              for delta, n, p, _ in grid]
     r_hats_by_cell = _replicate(cells, reps, workers, _ratio_count)

@@ -147,6 +147,9 @@ STUDY_INPUT_FAULTS = {
     "ratio-trace-r-above-p": (
         "simulate", '{"study": "ratio-trace", "n": 60, "p": 4, "r": 5}', (),
         "r must be an integer in [1, p] = [1, 4], got 5"),
+    "two-step-r-of-2-to-the-40": (
+        "simulate", '{"study": "two-step", "n": 60, "p": 10, "r": 1099511627776}', (),
+        "r must be an integer in [1, p] = [1, 10], got 1099511627776"),
     "rates-two-sizes": (
         "rates", '{"n": 60, "p": 10, "n_grid": [400, 800]}', (),
         "need at least three grid points to fit a slope"),

@@ -18,8 +18,13 @@ from hdfactor import Panel, Scenario, _openblas, cli, estimate, generate, load_c
 from helpers import STUDY_INPUT_FAULTS, s1_scenario, s3_scenario, table1_scenario
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    """Run ``python -m hdfactor``; an ``env_extra`` value of None unsets that variable."""
+PROCESS_ENTRY = ("-m", "hdfactor")
+# A process that calls ``cli.main`` itself, so nothing sets OPENBLAS_NUM_THREADS first.
+MAIN_ENTRY = ("-c", "import sys; from hdfactor import cli; sys.exit(cli.main(sys.argv[1:]))")
+
+
+def run_cli(*args, env_extra=None, cwd=None, entry=PROCESS_ENTRY):
+    """Run ``python -m hdfactor`` or ``entry``; an ``env_extra`` value of None unsets that variable."""
     env = dict(os.environ)
     for key, value in (env_extra or {}).items():
         if value is None:
@@ -27,7 +32,7 @@ def run_cli(*args, env_extra=None, cwd=None):
         else:
             env[key] = value
     return subprocess.run(
-        [sys.executable, "-m", "hdfactor", *map(str, args)],
+        [sys.executable, *entry, *map(str, args)],
         capture_output=True,
         text=True,
         env=env,
@@ -701,8 +706,31 @@ def test_a_fractional_integer_key_exits_2_and_leaves_no_output(tmp_path, name, t
 
 
 def test_integer_keys_accept_integral_floats():
-    assert cli._given({"k0": 2.0, "n_grid": [60.0, 80], "seed": "7"}, k0=cli._integer,
-                      n_grid=cli._ints, seed=cli._integer) == {"k0": 2, "n_grid": [60, 80], "seed": 7}
+    assert cli._given({"k0": 2.0, "n_grid": [60.0, 80], "seed": "7"}, "k0", "n_grid",
+                      "seed") == {"k0": 2, "n_grid": [60, 80], "seed": 7}
+
+
+def _refuses(kind, value) -> bool:
+    try:
+        kind(value)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+def _readme_keys(kind: str) -> list:
+    """The keys README's "Scenario files" lists as ``kind`` keys."""
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    return sorted(re.findall(r"`(\w+)`", re.search(rf"The {kind} keys \(([^)]*)\)", text)[1]))
+
+
+def test_readme_lists_the_integer_and_real_scenario_keys():
+    # An integer kind refuses 2.5; a real kind takes 2.5 and refuses True.
+    kinds = cli._KEYS.items()
+    integer = sorted(key for key, kind in kinds if _refuses(kind, 2.5))
+    real = sorted(key for key, kind in kinds if not _refuses(kind, 2.5) and _refuses(kind, True))
+    assert integer == _readme_keys("integer")
+    assert real == _readme_keys("real-valued")
 
 
 def test_zero_replications_exit_1(tmp_path):
@@ -956,10 +984,14 @@ def test_output_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path, name):
     for file_name, config in THREAD_INVARIANCE_SCENARIOS.items():
         (tmp_path / file_name).write_text(json.dumps(config))
     outputs = set()
-    # Unset, then each BLAS thread count with each worker count.
-    for blas, workers in ((None, None), ("1", "2"), ("2", "1")):
-        out = tmp_path / f"blas{blas}-workers{workers}"
-        proc = run_cli(*THREAD_INVARIANCE_RUNS[name], "--out", out, cwd=tmp_path,
+    # Unset, then each BLAS thread count with each worker count.  ``python -m
+    # hdfactor`` starts OpenBLAS at one thread whatever the setting, so the last
+    # leg calls ``cli.main``, whose own hold must then bring two threads down to one.
+    legs = [(None, None, PROCESS_ENTRY), ("1", "2", PROCESS_ENTRY), ("2", "1", PROCESS_ENTRY),
+            ("2", "1", MAIN_ENTRY)]
+    for leg, (blas, workers, entry) in enumerate(legs):
+        out = tmp_path / f"leg{leg}"
+        proc = run_cli(*THREAD_INVARIANCE_RUNS[name], "--out", out, cwd=tmp_path, entry=entry,
                        env_extra={"OPENBLAS_NUM_THREADS": blas, "HDFACTOR_THREADS": workers})
         assert proc.returncode == 0, proc.stderr
         outputs.add(tuple(

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +252,19 @@ _SERIES = np.random.default_rng(22).standard_normal((2, 30))
 def test_diagnostics_reject_mismatched_shapes(call, args, kwargs, message):
     with pytest.raises(DimensionError, match=message):
         call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cross_acf([1, np.inf, 2, 3, 4], 1), "series '1' contains a non-finite value at time 2"),
+    (lambda: projection_residual_ratio([1, 2, np.nan], [[1, 2, 3]]),
+     "series contains a non-finite value at time 3"),
+    (lambda: projection_residual_ratio([1, 2, 3], [[1, 2, np.inf]]),
+     "factor series 1 contains a non-finite value at time 3"),
+], ids=["acf", "projection-series", "projection-factors"])
+def test_diagnostics_reject_a_non_finite_input(call, message):
+    # Panel and ratio_estimate refuse NaN and inf too; these returned NaN.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("value", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())

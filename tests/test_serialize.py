@@ -225,6 +225,14 @@ def test_load_config_key_value(tmp_path):
     assert config["flag"] is True
 
 
+@pytest.mark.parametrize("text", ["007", "1e3", "TRUE"])
+def test_load_config_keeps_a_flat_id_as_its_text(tmp_path, text):
+    # A flat id names the study in result.json and cells.csv as written.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"id = {text}\nseed = 007\n")
+    assert load_config(path) == {"id": text, "seed": 7}
+
+
 def test_load_config_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("this is not a key value line\n")

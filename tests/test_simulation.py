@@ -325,13 +325,16 @@ _STUDY_INTEGERS = [
      "workers must be an integer in [1, inf), got 0"),
     (lambda: two_step_study(s1_scenario(60, 10, seed=1), reps=3, workers=-4),
      "workers must be an integer in [1, inf), got -4"),
+    (lambda: run_table1([0.0], [60], [0.2], reps=1, base_seed=1, r=2**40),
+     "r must be an integer in [1, p] = [1, 12], got 1099511627776"),
 ] + [
     (lambda call=call, value=value: call(value), integer_message(label, span, value))
     for _, call, label, span in _STUDY_INTEGERS for value in NON_INTEGERS.values()
 ], ids=["table1-nan-rule", "table1-overflowing-rule", "ratio-trace-nan-p-coef",
         "eigen-error-infinite-p-coef", "table1-negative-seed", "negative-seed",
         "table1-p-of-1", "ratio-trace-p-of-1", "two-step-p-of-1", "scenario-fractional-k0",
-        "table1-fractional-k0", "table1-zero-workers", "two-step-negative-workers"]
+        "table1-fractional-k0", "table1-zero-workers", "two-step-negative-workers",
+        "table1-r-above-p"]
     + [f"{name}-{kind}" for name, _, _, _ in _STUDY_INTEGERS for kind in NON_INTEGERS])
 def test_a_bad_study_input_raises_before_any_replication(monkeypatch, study, message):
     def no_replications(*args):
