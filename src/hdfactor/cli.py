@@ -455,8 +455,9 @@ def main(argv=None) -> int:
     except (ParseError, DimensionError, OSError) as exc:
         print(f"hdfactor: error: {exc}", file=sys.stderr)
         return 2
-    except HDFactorError as exc:
-        print(f"hdfactor: error: {exc}", file=sys.stderr)
+    except (HDFactorError, MemoryError) as exc:
+        # A bare MemoryError, such as a list too long to allocate, has no text.
+        print(f"hdfactor: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -437,9 +438,28 @@ def write_csv(path, header: Optional[Iterable], rows: Iterable[Iterable]) -> Non
     ``fmt_number``'s.  A str holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted
     as ``csv.writer`` quotes it, so ``load_csv`` reads each label back.
     """
+    _unlink_to_rewrite(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for row in rows if header is None else itertools.chain([header], rows):
             handle.write(",".join(_fields(row)) + "\n")
+
+
+def _unlink_to_rewrite(path) -> None:
+    """Remove ``path`` if it is a writable regular file with one link, so a writer makes a new one.
+
+    On ext4, a file truncated and written again is flushed to the disk when
+    it is closed, which costs tens of milliseconds; a new file is not.
+    Removing the old file first, rather than writing over it and truncating
+    the rest, also means a failed write never leaves new bytes in front of
+    old ones.  Any other path (a symlink, a file with another link, a FIFO,
+    a device, a file this process may not write, or a file it may not
+    remove) is left to the writer's ``open``, which writes through it or
+    refuses it as it always did.
+    """
+    with contextlib.suppress(OSError):
+        info = os.lstat(path)
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
 
 
 def _fields(row: Iterable):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError
 from .estimation import FactorModel
-from .panel import fmt_number, format_floats, read_text
+from .panel import _unlink_to_rewrite, fmt_number, format_floats, read_text
 
 __all__ = [
     "dump_json",
@@ -79,6 +79,7 @@ def _write_json(write, obj, pad: str) -> None:
 
 
 def dump_json(path, obj) -> None:
+    _unlink_to_rewrite(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         _write_json(handle.write, obj, "")
         handle.write("\n")

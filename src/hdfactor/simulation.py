@@ -118,7 +118,8 @@ class Scenario:
         if not 0 <= self.noise_var < math.inf:
             raise DomainError("noise variance must be finite and non-negative")
         if self.loading_scheme not in LOADING_SCHEMES:
-            raise DomainError(f"loading scheme must be one of {LOADING_SCHEMES}")
+            raise DomainError(
+                f"loading scheme must be one of {LOADING_SCHEMES}, got {self.loading_scheme!r}")
         if self.loading_scheme == "all-ones" and self.r != 1:
             raise DomainError("all-ones loadings are rank one; they require r = 1")
 

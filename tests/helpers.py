@@ -153,4 +153,16 @@ STUDY_INPUT_FAULTS = {
     "rates-two-sizes": (
         "rates", '{"n": 60, "p": 10, "n_grid": [400, 800]}', (),
         "need at least three grid points to fit a slope"),
+    "two-step-unknown-loading-scheme": (
+        "simulate", '{"study": "two-step", "n": 60, "p": 10, "r": 1, "loading_scheme": "x"}', (),
+        "loading scheme must be one of ('uniform-scaled', 'all-ones'), got 'x'"),
+    # Sizes whose allocation fails at once: a list of 2**40 deltas, and the
+    # 2**40 x 1 loadings that generate draws first.
+    "two-step-p-and-r-of-2-to-the-40": (
+        "simulate", '{"study": "two-step", "n": 60, "p": 1099511627776, "r": 1099511627776}', (),
+        "out of memory"),
+    "two-step-p-of-2-to-the-40": (
+        "simulate", '{"study": "two-step", "n": 60, "p": 1099511627776, "r": 1}', (),
+        "Unable to allocate 8.00 TiB for an array with shape (1099511627776, 1) and data type"
+        " float64"),
 }

@@ -1,7 +1,12 @@
 import csv
 import hashlib
+import os
 import re
+import stat
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +25,8 @@ from hdfactor import (
     save_csv,
     seasonal_demean,
 )
-from hdfactor.serialize import load_config
+from hdfactor.panel import write_csv
+from hdfactor.serialize import dump_json, load_config
 from helpers import NON_INTEGERS, integer_message
 
 try:
@@ -483,7 +489,8 @@ else:
     @settings(derandomize=True, database=None, deadline=None, max_examples=600)
     @given(text=_csv_files(), orientation=st.sampled_from(["rows-are-time", "rows-are-series"]))
     def test_load_csv_bulk_path_agrees_with_the_row_path(tmp_path_factory, text, orientation):
-        path = tmp_path_factory.getbasetemp() / "bulk-or-rows.csv"
+        # A folder per example: on ext4, rewriting one path waits for the disk at each close.
+        path = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp())) / "bulk-or-rows.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(path, orientation) == _row_path_outcome(path, orientation)
 
@@ -501,3 +508,60 @@ def test_panel_io_rejects_malformed_arguments(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
         call(tmp_path)
     assert not (tmp_path / "out.csv").exists()
+
+
+# ---------------------------------------------------------------- rewriting an output file
+
+# The two writers of every output file, each writing one text.
+_WRITERS = {"write_csv": lambda path, text: write_csv(path, None, [(text,)]),
+            "dump_json": dump_json}
+
+
+def _written(tmp_path, writer, text):
+    """The bytes ``writer`` writes for ``text``, from a write to a new path."""
+    fresh = Path(tempfile.mkdtemp(dir=tmp_path)) / "fresh"
+    _WRITERS[writer](fresh, text)
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_rewrite_is_a_new_file_with_no_tail_of_the_old_one(tmp_path, writer):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, "x" * 5000)
+    with open(path, "rb") as old:
+        _WRITERS[writer](path, "y")
+        # The old file lost its name and kept its bytes: it was removed, not truncated.
+        assert os.fstat(old.fileno()).st_nlink == 0
+        assert old.read() == _written(tmp_path, writer, "x" * 5000)
+    assert path.read_bytes() == _written(tmp_path, writer, "y")
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("link", ["symlink", "hard-link"])
+def test_a_linked_output_is_written_through(tmp_path, writer, link):
+    target, path = tmp_path / "target", tmp_path / "out"
+    _WRITERS[writer](target, "x" * 5000)
+    inode = target.stat().st_ino
+    if link == "symlink":
+        path.symlink_to(target)
+    else:
+        os.link(target, path)
+    _WRITERS[writer](path, "y")
+    assert path.is_symlink() == (link == "symlink")
+    assert target.stat().st_ino == inode
+    assert target.read_bytes() == path.read_bytes() == _written(tmp_path, writer, "y")
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_fifo_output_is_written_through(tmp_path, writer):
+    path = tmp_path / "out"
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+    reader.start()
+    _WRITERS[writer](path, "y")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(path).st_mode)
+    assert got == [_written(tmp_path, writer, "y")]
+

@@ -1,6 +1,8 @@
 """Property tests over random shapes, derandomized so every run draws the same cases."""
 
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -160,7 +162,8 @@ def _messy_csv(draw):
                   k0=st.integers(-1, 4))
 @hypothesis.example(text="0" * 140_000 + ",1\n2,3\n", command="estimate", k0=1)
 def test_cli_fit_failures_leave_through_an_exit_code(tmp_path_factory, text, command, k0):
-    base = tmp_path_factory.getbasetemp()
+    # A folder per example: on ext4, rewriting one path waits for the disk at each close.
+    base = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
     path = base / "messy.csv"
     path.write_bytes(text.encode("utf-8"))
     assert cli.main([command, str(path), "--out", str(base / "out"), "--k0", str(k0)]) in range(4)

@@ -183,6 +183,13 @@ def test_scenario_validation():
                  loading_scheme="all-ones")
 
 
+@pytest.mark.parametrize("scheme", ["x", None])
+def test_scenario_names_an_unknown_loading_scheme(scheme):
+    with pytest.raises(DomainError, match=re.escape(
+            f"loading scheme must be one of ('uniform-scaled', 'all-ones'), got {scheme!r}") + "$"):
+        Scenario(n=50, p=8, r=1, deltas=(0.0,), ar_coeffs=(0.5,), loading_scheme=scheme)
+
+
 def test_mc_result_derives_reps_and_frequency_from_its_histogram():
     scn = table1_scenario(50, 10, seed=0)  # r = 3
     result = McResult(scenario=scn, r_hat_counts={2: 1, 3: 3})
